@@ -19,13 +19,22 @@ in a category are counted as skips, never as passes or failures.
 With several measures configured, each generated tuple is evaluated
 once per applicable measure, so checks_run counts (tuple, measure)
 evaluations and checks_run + skipped_undefined = tuples * measures.
+
+The process keeps its most recent exhaustive corpus, so consecutive
+audits and replays of one (category, limits, budget) enumerate it once;
+the objects are memoized on their own.  Replay reaches an exhaustive
+trial by unranking its index in the enumeration order (_SHAPES), so its
+cost does not grow with the index; a random-mode trial is regenerated
+from its own seeded stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, chain, product
+from math import prod
 from typing import Iterator
 
 from . import config as cfg
@@ -51,6 +60,13 @@ MODES = ("exhaustive", "random", "measure_compatible")
 SKIP = object()
 
 
+def _require_int(name: str, value) -> int:
+    # bool is an int subclass; a report saying `true` is malformed, not 1.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidObject(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Everything a run needs; serialized verbatim into the report."""
@@ -72,6 +88,8 @@ class AuditConfig:
         object.__setattr__(self, "measures", tuple(self.measures))
         if self.checks is not None:
             object.__setattr__(self, "checks", tuple(self.checks))
+        for name in ("max_size", "trials", "seed", "budget"):
+            _require_int(name, getattr(self, name))
         if self.mode not in MODES:
             raise InvalidObject(f"unknown audit mode {self.mode!r}")
         if self.mode == "measure_compatible" and self.category is not CategoryId.NOISY_FINSET:
@@ -142,6 +160,9 @@ class Violation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Violation":
+        trial_index = _require_int("trial_index", data["trial_index"])
+        if trial_index < 0:
+            raise InvalidObject(f"trial_index must be non-negative, not {trial_index}")
         return cls(
             check=data["check"],
             measure=data.get("measure"),
@@ -149,8 +170,8 @@ class Violation:
             lhs=data["lhs"],
             rhs=data["rhs"],
             delta=data["delta"],
-            seed=data["seed"],
-            trial_index=data["trial_index"],
+            seed=_require_int("seed", data["seed"]),
+            trial_index=trial_index,
         )
 
 
@@ -275,13 +296,17 @@ def _logval_sum(a, b):
 
 
 class _MeasureCtx:
-    """One measure plus its comparison policy and per-corpus cache."""
+    """One measure plus its comparison policy and per-corpus cache.
 
-    def __init__(self, measure, tolerance: float, corpus_set):
+    Only members of corpus_set are cached; the engine sets it when it
+    materializes an exhaustive corpus.
+    """
+
+    def __init__(self, measure, tolerance: float):
         self.measure = measure
         self.name = measure.name
         self.tol = tolerance + measure.slack
-        self._corpus_set = corpus_set
+        self.corpus_set = frozenset()
         self._vals: dict = {}
         self._exacts: dict = {}
 
@@ -290,7 +315,7 @@ class _MeasureCtx:
         if v is not _MISSING:
             return v
         v = value_of(self.measure, m)
-        if self._corpus_set is not None and m in self._corpus_set:
+        if m in self.corpus_set:
             self._vals[m] = v
         return v
 
@@ -299,7 +324,7 @@ class _MeasureCtx:
         if e is not _MISSING:
             return e
         e = exact_of(self.measure, m)
-        if self._corpus_set is not None and m in self._corpus_set:
+        if m in self.corpus_set:
             self._exacts[m] = e
         return e
 
@@ -333,6 +358,91 @@ class _Fail:
         self.delta = float(delta)
 
 
+# ----------------------------------------------------------------------
+# Exhaustive corpora and the order of their tuples.
+#
+# Each tuple kind lists the factors of its tuples: "M" is the morphism
+# corpus, "O" the object list, and "domain" / "codomain" the corpus
+# morphisms whose domain is that endpoint of the tuple's first member f.
+# Tuples run in lexicographic order of the factors, the last varying
+# fastest.  The audit's stream, its tuple counts and replay's unranking
+# all read this table, so they cannot disagree on the order that trial
+# indices in old reports refer to.
+
+_SHAPES = {
+    "unary": ("M",),
+    "pair": ("M", "M"),
+    "object": ("O",),
+    "object_pair": ("O", "O"),
+    "morphism_object": ("M", "O"),
+    "composable": ("M", "codomain"),
+    "common_domain": ("M", "domain"),
+    "triple": ("M", "domain", "domain"),
+}
+
+# Kinds whose tuples split into one block per f of the corpus.
+_GROUPED = tuple(kind for kind, shape in _SHAPES.items() if shape[-1] in ("domain", "codomain"))
+
+
+@dataclass(frozen=True, eq=False)
+class _Corpus:
+    """An exhaustive morphism corpus, enumerated once and shared.
+
+    For a grouped kind, blocks[kind][k] are the factors of the tuples
+    led by morphisms[k] (that morphism alone, then its groups), and
+    offsets[kind][k] is the index of the block's first tuple;
+    offsets[kind][-1] is the kind's tuple count.
+    """
+
+    morphisms: tuple
+    members: frozenset
+    blocks: dict
+    offsets: dict
+
+
+@lru_cache(maxsize=1)
+def _morphism_corpus(ops, limits: Limits, budget: int) -> _Corpus:
+    # Keyed on the budget too: a cached corpus built under a larger budget
+    # must not let a smaller one through.
+    out = []
+    for m in ops.exhaustive_morphisms(limits):
+        out.append(m)
+        if len(out) > budget:
+            raise EnumerationBudgetExceeded(f"corpus exceeds budget of {budget} morphisms")
+    morphisms = tuple(out)
+    by_domain: dict = {}
+    for m in morphisms:
+        by_domain.setdefault(m.domain, []).append(m)
+    by_domain = {dom: tuple(ms) for dom, ms in by_domain.items()}
+    blocks, offsets = {}, {}
+    for kind in _GROUPED:
+        endpoints = _SHAPES[kind][1:]
+        blocks[kind] = tuple(
+            ((f,),) + tuple(by_domain.get(getattr(f, e), ()) for e in endpoints)
+            for f in morphisms
+        )
+        offsets[kind] = tuple(
+            accumulate((prod(map(len, b)) for b in blocks[kind]), initial=0)
+        )
+    return _Corpus(morphisms, frozenset(morphisms), blocks, offsets)
+
+
+@lru_cache(maxsize=1)
+def _object_corpus(ops, limits: Limits) -> tuple:
+    # Separate from the morphisms, so object-only checks never enumerate
+    # morphisms and never meet the morphism budget.
+    return tuple(ops.exhaustive_objects(limits))
+
+
+def _unrank(factors: tuple, index: int) -> tuple:
+    """The index-th tuple of product(*factors)."""
+    picks = []
+    for seq in reversed(factors):
+        index, r = divmod(index, len(seq))
+        picks.append(seq[r])
+    return tuple(reversed(picks))
+
+
 class _Engine:
     def __init__(self, config: AuditConfig, check_names):
         self.config = config
@@ -342,17 +452,10 @@ class _Engine:
             field=parse_field(config.field) if config.field else None,
             measure_compatible=config.mode == "measure_compatible",
         )
-        self._corpus_list = None
-        self._corpus_set = None
-        self._by_domain = None
-        self._objects = None
+        self._corpus_cache = None
         self._terminal_cache = None
         self.mctxs = [
-            _MeasureCtx(
-                get_measure(config.category, name),
-                config.tolerance,
-                None if config.mode != "exhaustive" else self._corpus_set_ref,
-            )
+            _MeasureCtx(get_measure(config.category, name), config.tolerance)
             for name in config.measures
         ]
         self.checks = [
@@ -362,18 +465,6 @@ class _Engine:
         self.skipped: dict[str, int] = {}
         self.violations: list[Violation] = []
         self.findings: list[dict] = []
-
-    # _MeasureCtx needs the corpus membership test before the corpus is
-    # materialized; hand it a late-binding proxy instead of the set.
-    @property
-    def _corpus_set_ref(self):
-        engine = self
-
-        class _Proxy:
-            def __contains__(self, m):
-                return engine._corpus_set is not None and m in engine._corpus_set
-
-        return _Proxy()
 
     def _applicable(self, check: _Check) -> bool:
         if check.categories is not None and self.config.category not in check.categories:
@@ -385,27 +476,12 @@ class _Engine:
         return True
 
     # -- corpus ---------------------------------------------------------
-    def _corpus(self):
-        if self._corpus_list is None:
-            out = []
-            for m in self.ops.exhaustive_morphisms(self.limits):
-                out.append(m)
-                if len(out) > self.config.budget:
-                    raise EnumerationBudgetExceeded(
-                        f"corpus exceeds budget of {self.config.budget} morphisms"
-                    )
-            self._corpus_list = out
-            self._corpus_set = set(out)
-            by_dom: dict = {}
-            for m in out:
-                by_dom.setdefault(m.domain, []).append(m)
-            self._by_domain = by_dom
-        return self._corpus_list
-
-    def _object_list(self):
-        if self._objects is None:
-            self._objects = list(self.ops.exhaustive_objects(self.limits))
-        return self._objects
+    def _corpus(self) -> _Corpus:
+        if self._corpus_cache is None:
+            self._corpus_cache = _morphism_corpus(self.ops, self.limits, self.config.budget)
+            for mctx in self.mctxs:
+                mctx.corpus_set = self._corpus_cache.members
+        return self._corpus_cache
 
     def _terminal(self):
         if self._terminal_cache is None:
@@ -415,54 +491,23 @@ class _Engine:
                 self._terminal_cache = self.ops.terminal_object()
         return self._terminal_cache
 
+    def _blocks(self, kind: str) -> tuple[tuple, tuple]:
+        """(offsets, blocks) of the exhaustive tuples of kind, as in _Corpus;
+        a kind without groups is one block of whole sequences."""
+        if kind in _GROUPED:
+            corpus = self._corpus()
+            return corpus.offsets[kind], corpus.blocks[kind]
+        factors = tuple(
+            self._corpus().morphisms if f == "M" else _object_corpus(self.ops, self.limits)
+            for f in _SHAPES[kind]
+        )
+        return (0, prod(map(len, factors))), (factors,)
+
     def _exhaustive_count(self, kind: str) -> int:
-        if kind in ("object", "object_pair"):
-            o = len(self._object_list())
-            return o if kind == "object" else o * o
-        corpus = self._corpus()
-        n = len(corpus)
-        if kind == "unary":
-            return n
-        if kind == "pair":
-            return n * n
-        if kind == "morphism_object":
-            return n * len(self._object_list())
-        by_dom = self._by_domain
-        if kind == "composable":
-            return sum(len(by_dom.get(f.codomain, ())) for f in corpus)
-        if kind == "common_domain":
-            return sum(len(by_dom.get(f.domain, ())) for f in corpus)
-        if kind == "triple":
-            return sum(len(by_dom.get(f.domain, ())) ** 2 for f in corpus)
-        raise AssertionError(kind)
+        return self._blocks(kind)[0][-1]
 
     def _exhaustive_stream(self, kind: str) -> Iterator[tuple]:
-        if kind == "object":
-            return ((a,) for a in self._object_list())
-        if kind == "object_pair":
-            objs = self._object_list()
-            return ((a, b) for a in objs for b in objs)
-        corpus = self._corpus()
-        if kind == "unary":
-            return ((f,) for f in corpus)
-        if kind == "pair":
-            return ((f, g) for f in corpus for g in corpus)
-        if kind == "morphism_object":
-            objs = self._object_list()
-            return ((f, a) for f in corpus for a in objs)
-        by_dom = self._by_domain
-        if kind == "composable":
-            return ((f, g) for f in corpus for g in by_dom.get(f.codomain, ()))
-        if kind == "common_domain":
-            return ((f, g) for f in corpus for g in by_dom.get(f.domain, ()))
-        if kind == "triple":
-            return (
-                (f, g, h)
-                for f in corpus
-                for g in by_dom.get(f.domain, ())
-                for h in by_dom.get(f.domain, ())
-            )
-        raise AssertionError(kind)
+        return chain.from_iterable(product(*b) for b in self._blocks(kind)[1])
 
     def _random_parts(self, kind: str, rng) -> tuple:
         ops, lim = self.ops, self.limits
@@ -493,12 +538,14 @@ class _Engine:
 
     def _parts_at(self, check: _Check, trial_index: int) -> tuple:
         if self.config.mode == "exhaustive":
-            found = next(islice(self._exhaustive_stream(check.kind), trial_index, None), None)
-            if found is None:
+            offsets, blocks = self._blocks(check.kind)
+            if not 0 <= trial_index < offsets[-1]:
                 raise ReplayMismatch(
-                    f"trial {trial_index} is beyond the exhaustive corpus for {check.name}"
+                    f"trial {trial_index} is outside the {offsets[-1]} exhaustive tuples"
+                    f" of {check.name}"
                 )
-            return found
+            k = bisect_right(offsets, trial_index) - 1
+            return _unrank(blocks[k], trial_index - offsets[k])
         return self._random_parts(
             check.kind, trial_rng(self.config.seed, f"gen:{check.name}", trial_index)
         )
@@ -652,7 +699,7 @@ class _Engine:
         nothing downstream ever substitutes the closed form.
         """
         if self.config.mode == "exhaustive":
-            sample = self._corpus()
+            sample = self._corpus().morphisms
         else:
             sample = [
                 self.ops.random_morphism(
@@ -976,7 +1023,7 @@ def generate(config: AuditConfig):
     """Deterministic corpus stream for the configured category."""
     engine = _Engine(config, ())
     if config.mode == "exhaustive":
-        yield from engine._corpus()
+        yield from engine._corpus().morphisms
         return
     for i in range(config.trials):
         yield engine.ops.random_morphism(

@@ -124,7 +124,8 @@ def blahut_arimoto(
         D = (np.where(pos, P * (log_P - log_r[None, :]), 0.0)).sum(axis=1)
         lower = float(p @ D)
         upper = float(D.max())
-        assert lower >= prev_lower - 1e-12, "mutual information must not decrease"
+        if not lower >= prev_lower - 1e-12:  # a NaN bound fails too
+            raise AssertionError("mutual information must not decrease")
         prev_lower = lower
         if upper - lower <= eps:
             converged = True

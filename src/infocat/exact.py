@@ -22,7 +22,8 @@ from .config import BITS, get_log_base
 @lru_cache(maxsize=65536)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...)."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: need n >= 1")
     out = []
     d = 2
     while d * d <= n:

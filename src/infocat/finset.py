@@ -265,7 +265,8 @@ class FinSetCategory(Category):
                 beta[i] = next(spare)
         alpha_m = FinSetMorphism(f.domain, g.domain, tuple(alpha))
         beta_m = FinSetMorphism(f.codomain, g.codomain, tuple(beta))
-        assert self.compose(g, alpha_m).mapping == self.compose(beta_m, f).mapping
+        if self.compose(g, alpha_m).mapping != self.compose(beta_m, f).mapping:
+            raise AssertionError("arrow_iso built a square that does not commute")
         return ArrowIso(
             IsoWitness(alpha_m, self._invert(alpha_m)),
             IsoWitness(beta_m, self._invert(beta_m)),

@@ -357,7 +357,8 @@ class FinVectCategory(Category):
         beta_rows = _matmul(field, _inverse(field, s_g), s_f)
         alpha = LinearMorphism(f.domain, g.domain, alpha_rows)
         beta = LinearMorphism(f.codomain, g.codomain, beta_rows)
-        assert self.compose(g, alpha).entries == self.compose(beta, f).entries
+        if self.compose(g, alpha).entries != self.compose(beta, f).entries:
+            raise AssertionError("arrow_iso built a square that does not commute")
         return ArrowIso(
             IsoWitness(alpha, LinearMorphism(g.domain, f.domain, _inverse(field, alpha_rows))),
             IsoWitness(beta, LinearMorphism(g.codomain, f.codomain, _inverse(field, beta_rows))),

@@ -47,7 +47,8 @@ class SplitMix64:
 
     def randbelow(self, n: int) -> int:
         """Uniform-ish integer in [0, n); n must be positive."""
-        assert n > 0
+        if n <= 0:
+            raise ValueError(f"randbelow needs a positive bound, not {n}")
         return (self.next_u64() * n) >> 64
 
     def randint(self, lo: int, hi: int) -> int:

@@ -21,6 +21,8 @@ from infocat import (
     generate,
     replay,
 )
+from infocat.audit import _CHECKS, _Engine
+from infocat.core import category
 from infocat.errors import (
     EnumerationBudgetExceeded,
     IndexOutOfRange,
@@ -28,6 +30,7 @@ from infocat.errors import (
     ReplayMismatch,
 )
 from infocat.finset import FINSET, Limits
+from infocat.finvect import parse_field
 from infocat.jsonio import dumps
 
 
@@ -71,6 +74,18 @@ class TestConfigValidation:
     def test_budget_stops_enumeration(self):
         with pytest.raises(EnumerationBudgetExceeded, match="corpus exceeds budget"):
             audit_all(finset_config(max_size=3, budget=10))
+
+    def test_budget_holds_after_a_larger_budget_built_the_corpus(self):
+        audit_all(finset_config(max_size=3, checks=("invariance",)))
+        with pytest.raises(EnumerationBudgetExceeded, match="corpus exceeds budget of 10 morphisms"):
+            audit_all(finset_config(max_size=3, budget=10))
+        assert list(generate(finset_config(max_size=3))) == list(
+            FINSET.exhaustive_morphisms(Limits(3))
+        )
+
+    def test_object_checks_never_meet_the_morphism_budget(self):
+        report = audit_all(finset_config(max_size=3, budget=10, checks=("zero_at_terminal",)))
+        assert report.checks_run == {"zero_at_terminal": 3}
 
     def test_budget_counts_tuples_not_just_morphisms(self):
         # 56 morphisms fit, but the 56*56 additivity pairs do not.
@@ -290,6 +305,68 @@ class TestReplay:
         )
         with pytest.raises(ReplayMismatch, match="no violation on replay"):
             replay(swapped, 0)
+
+
+def reference_stream(ops, limits, kind):
+    """Exhaustive tuples of one kind as nested loops, straight from the
+    category's generators: the order recorded trial indices refer to."""
+    corpus = list(ops.exhaustive_morphisms(limits))
+    objs = list(ops.exhaustive_objects(limits))
+    by_dom = {}
+    for m in corpus:
+        by_dom.setdefault(m.domain, []).append(m)
+    if kind == "unary":
+        return [(f,) for f in corpus]
+    if kind == "pair":
+        return [(f, g) for f in corpus for g in corpus]
+    if kind == "object":
+        return [(a,) for a in objs]
+    if kind == "object_pair":
+        return [(a, b) for a in objs for b in objs]
+    if kind == "morphism_object":
+        return [(f, a) for f in corpus for a in objs]
+    if kind == "composable":
+        return [(f, g) for f in corpus for g in by_dom.get(f.codomain, ())]
+    if kind == "common_domain":
+        return [(f, g) for f in corpus for g in by_dom.get(f.domain, ())]
+    assert kind == "triple"
+    return [
+        (f, g, h)
+        for f in corpus
+        for g in by_dom.get(f.domain, ())
+        for h in by_dom.get(f.domain, ())
+    ]
+
+
+EXHAUSTIVE_LIMITS = {
+    "finset-3": dict(category="finset", max_size=3),
+    "finvect-gf2-2": dict(category="finvect", max_size=2, field="gf2"),
+    "finvect-gf3-1": dict(category="finvect", max_size=1, field="gf3"),
+    "finset_dual-2": dict(category="finset_dual", max_size=2),
+    "finvect_dual-gf2-2": dict(category="finvect_dual", max_size=2, field="gf2"),
+    "noisy_finset-2": dict(category="noisy_finset", max_size=2),
+}
+
+ONE_CHECK_PER_KIND = {kind: name for name, kind in CHECK_KINDS.items()}
+
+
+class TestUnranking:
+    @pytest.mark.parametrize("limits", EXHAUSTIVE_LIMITS.values(), ids=EXHAUSTIVE_LIMITS)
+    def test_every_index_unranks_to_the_streamed_tuple(self, limits):
+        engine = _Engine(AuditConfig(**limits), ())
+        ops = category(limits["category"])
+        field = limits.get("field")
+        lim = Limits(limits["max_size"], field=parse_field(field) if field else None)
+        for kind, name in sorted(ONE_CHECK_PER_KIND.items()):
+            check = _CHECKS[name]
+            stream = list(engine._exhaustive_stream(kind))
+            assert stream == reference_stream(ops, lim, kind), kind
+            assert len(stream) == engine._exhaustive_count(kind), kind
+            assert stream, kind
+            assert [engine._parts_at(check, i) for i in range(len(stream))] == stream, kind
+            for outside in (-1, len(stream)):
+                with pytest.raises(ReplayMismatch, match="outside"):
+                    engine._parts_at(check, outside)
 
 
 class TestFindings:

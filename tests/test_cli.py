@@ -125,6 +125,30 @@ class TestReplay:
         assert code == 2
         assert "out of range" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("violation", "trial_index", -1),
+            ("violation", "trial_index", "3"),
+            ("violation", "trial_index", 2.0),
+            ("violation", "trial_index", True),
+            ("violation", "seed", "0"),
+            ("config", "max_size", 2.5),
+            ("config", "trials", True),
+            ("config", "seed", "0"),
+            ("config", "budget", 1e7),
+        ],
+    )
+    def test_malformed_field_is_input_error(self, capsys, tmp_path, section, key, value):
+        path = write_broken_report(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        (data["config"] if section == "config" else data["violations"][0])[key] = value
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "replay", "--report", str(path), "--index", "0")
+        assert code == 2
+        assert "not a valid audit report" in err
+        assert key in err
+
     def test_not_a_report(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"schema": "infocat-report/1"}')

@@ -1,6 +1,10 @@
 """Category registry, dispatch helpers, and the UNDEFINED sentinel."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +142,23 @@ class TestLogBase:
     def test_bad_base_rejected(self):
         with pytest.raises(ValueError):
             infocat.set_log_base("10")
+
+
+class TestRuntimeChecks:
+    def test_argument_checks_survive_optimize(self):
+        # `python -O` strips assert statements; these checks must stay.
+        code = (
+            "from infocat.exact import _factor\n"
+            "from infocat.prng import SplitMix64\n"
+            "for call in (lambda: SplitMix64(0).randbelow(0), lambda: _factor(0)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError:\n"
+            "        print('raised')\n"
+        )
+        src = str(Path(infocat.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["raised", "raised"]
