@@ -26,6 +26,22 @@ the objects are memoized on their own.  Replay reaches an exhaustive
 trial by unranking its index in the enumeration order (_SHAPES), so its
 cost does not grow with the index; a random-mode trial is regenerated
 from its own seeded stream.
+
+What is memoized, and for how long:
+
+* per tuple, every check: morphisms built from the tuple alone
+  (products, composites) are shared by the measures evaluating it;
+* per audit: each measure's float and exact value of every corpus
+  member (_MeasureCtx);
+* per check, exhaustive internal_strong_subadditivity only: the pair
+  products <f, g> and <g, h> of two corpus members, and each measure's
+  value of them (_Pair), keyed on corpus positions.  A triple check has
+  far more tuples than pairs (49,616 against 1,528 on finsets of size
+  <= 3), so each pair is built once instead of once per triple; the
+  memo is dropped when the check ends and never exceeds its tuple
+  count.  The pair checks get no such memo: their tuples do not recur,
+  and a corpus-wide memo of every pair product would grow with the
+  square of the corpus for the whole audit.
 """
 
 from __future__ import annotations
@@ -39,7 +55,7 @@ from typing import Iterator
 
 from . import config as cfg
 from . import jsonio
-from .core import CategoryId, Limits, category, is_undefined
+from .core import CategoryId, Limits, category, int_from_json, is_undefined
 from .errors import (
     EnumerationBudgetExceeded,
     IndexOutOfRange,
@@ -60,11 +76,11 @@ MODES = ("exhaustive", "random", "measure_compatible")
 SKIP = object()
 
 
-def _require_int(name: str, value) -> int:
-    # bool is an int subclass; a report saying `true` is malformed, not 1.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidObject(f"{name} must be an integer, not {value!r}")
-    return value
+def _str_tuple(name: str, value) -> tuple[str, ...]:
+    # A bare string would iterate as its characters.
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise InvalidObject(f"{name} must be a list of strings, not {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -85,11 +101,19 @@ class AuditConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "category", CategoryId(self.category))
-        object.__setattr__(self, "measures", tuple(self.measures))
+        object.__setattr__(self, "measures", _str_tuple("measures", self.measures))
         if self.checks is not None:
-            object.__setattr__(self, "checks", tuple(self.checks))
+            object.__setattr__(self, "checks", _str_tuple("checks", self.checks))
+        try:
+            object.__setattr__(self, "log_base", cfg.normalize(self.log_base))
+        except ValueError:
+            raise InvalidObject(f"log_base must be 2 or e, not {self.log_base!r}") from None
+        if self.field is not None:
+            if not isinstance(self.field, str):
+                raise InvalidObject(f"field must be a string or null, not {self.field!r}")
+            parse_field(self.field)
         for name in ("max_size", "trials", "seed", "budget"):
-            _require_int(name, getattr(self, name))
+            int_from_json(getattr(self, name), name)
         if self.mode not in MODES:
             raise InvalidObject(f"unknown audit mode {self.mode!r}")
         if self.mode == "measure_compatible" and self.category is not CategoryId.NOISY_FINSET:
@@ -98,8 +122,12 @@ class AuditConfig:
             raise InvalidObject("max_size must be at least 1")
         if self.trials < 1:
             raise InvalidObject("trials must be at least 1")
-        if not self.tolerance > 0:
-            raise InvalidObject("tolerance must be positive")
+        if (
+            isinstance(self.tolerance, bool)
+            or not isinstance(self.tolerance, (int, float))
+            or not self.tolerance > 0
+        ):
+            raise InvalidObject(f"tolerance must be a positive number, not {self.tolerance!r}")
         if self.budget < 1:
             raise InvalidObject("budget must be positive")
 
@@ -122,7 +150,7 @@ class AuditConfig:
     def from_json(cls, data: dict) -> "AuditConfig":
         return cls(
             category=CategoryId(data["category"]),
-            measures=tuple(data["measures"]),
+            measures=data["measures"],
             mode=data["mode"],
             max_size=data["max_size"],
             trials=data["trials"],
@@ -131,7 +159,7 @@ class AuditConfig:
             log_base=data["log_base"],
             field=data.get("field"),
             budget=data["budget"],
-            checks=None if data.get("checks") is None else tuple(data["checks"]),
+            checks=data.get("checks"),
         )
 
 
@@ -160,7 +188,7 @@ class Violation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Violation":
-        trial_index = _require_int("trial_index", data["trial_index"])
+        trial_index = int_from_json(data["trial_index"], "trial_index")
         if trial_index < 0:
             raise InvalidObject(f"trial_index must be non-negative, not {trial_index}")
         return cls(
@@ -170,7 +198,7 @@ class Violation:
             lhs=data["lhs"],
             rhs=data["rhs"],
             delta=data["delta"],
-            seed=_require_int("seed", data["seed"]),
+            seed=int_from_json(data["seed"], "seed"),
             trial_index=trial_index,
         )
 
@@ -224,6 +252,9 @@ class _Check:
     # Only the conjugation checks draw random isomorphisms; everything else
     # is a pure function of the tuple, so the engine skips seeding a stream.
     uses_rng: bool = False
+    # Exhaustive runs of a check that builds the internal products <x, y>
+    # of pairs of its tuple's members build each pair once per run (_Pair).
+    memo_pairs: bool = False
     categories: tuple[CategoryId, ...] | None = None
 
 
@@ -233,7 +264,7 @@ _CHECKS = {
         # Axiom-level laws.
         _Check("invariance", "unary", uses_rng=True),
         _Check("external_additivity", "pair"),
-        _Check("internal_strong_subadditivity", "triple"),
+        _Check("internal_strong_subadditivity", "triple", memo_pairs=True),
         _Check("data_processing", "composable"),
         _Check("section_iff", "composable"),
         _Check("destination_matching", "unary"),
@@ -349,6 +380,27 @@ class _MeasureCtx:
         return abs(self.value(m)) <= self.tol
 
 
+class _Pair:
+    """The internal product of two tuple members, with each measure's
+    value of it computed on first use.
+
+    A product of two corpus members usually lies outside the corpus, so
+    the _MeasureCtx caches never hold its values.
+    """
+
+    __slots__ = ("morphism", "_vals")
+
+    def __init__(self, morphism):
+        self.morphism = morphism
+        self._vals: dict = {}
+
+    def value(self, mctx):
+        v = self._vals.get(mctx, _MISSING)
+        if v is _MISSING:
+            v = self._vals[mctx] = mctx.value(self.morphism)
+        return v
+
+
 class _Fail:
     __slots__ = ("lhs", "rhs", "delta")
 
@@ -398,6 +450,8 @@ class _Corpus:
     members: frozenset
     blocks: dict
     offsets: dict
+    # id(m) -> index of m in morphisms; the tuple keeps every id valid.
+    positions: dict
 
 
 @lru_cache(maxsize=1)
@@ -424,7 +478,8 @@ def _morphism_corpus(ops, limits: Limits, budget: int) -> _Corpus:
         offsets[kind] = tuple(
             accumulate((prod(map(len, b)) for b in blocks[kind]), initial=0)
         )
-    return _Corpus(morphisms, frozenset(morphisms), blocks, offsets)
+    positions = {id(m): k for k, m in enumerate(morphisms)}
+    return _Corpus(morphisms, frozenset(morphisms), blocks, offsets, positions)
 
 
 @lru_cache(maxsize=1)
@@ -454,6 +509,9 @@ class _Engine:
         )
         self._corpus_cache = None
         self._terminal_cache = None
+        # Corpus positions of (x, y) -> _Pair, while a memo_pairs check
+        # runs exhaustively; None otherwise.
+        self._pairs: dict | None = None
         self.mctxs = [
             _MeasureCtx(get_measure(config.category, name), config.tolerance)
             for name in config.measures
@@ -584,21 +642,26 @@ class _Engine:
         contexts = self.mctxs if check.needs_measure else [None]
         channels = [self._eval_channel(check, mctx) for mctx in contexts]
         seed = self.config.seed
-        for trial_index, parts in enumerate(stream):
-            memo: dict = {}
-            for mctx, channel in zip(contexts, channels):
-                rng = (
-                    trial_rng(seed, channel, trial_index) if check.uses_rng else None
-                )
-                out = evaluator(mctx, rng, parts, memo)
-                if out is SKIP:
-                    skipped += 1
-                    continue
-                ran += 1
-                if out is not None:
-                    self.violations.append(
-                        self._violation(check, mctx, parts, trial_index, out)
+        if check.memo_pairs and self.config.mode == "exhaustive":
+            self._pairs = {}
+        try:
+            for trial_index, parts in enumerate(stream):
+                memo: dict = {}
+                for mctx, channel in zip(contexts, channels):
+                    rng = (
+                        trial_rng(seed, channel, trial_index) if check.uses_rng else None
                     )
+                    out = evaluator(mctx, rng, parts, memo)
+                    if out is SKIP:
+                        skipped += 1
+                        continue
+                    ran += 1
+                    if out is not None:
+                        self.violations.append(
+                            self._violation(check, mctx, parts, trial_index, out)
+                        )
+        finally:
+            self._pairs = None
         self.checks_run[check.name] = ran
         self.skipped[check.name] = skipped
 
@@ -610,7 +673,9 @@ class _Engine:
         return Violation(
             check=check.name,
             measure=None if mctx is None else mctx.name,
-            morphisms=tuple(self._serialize_part(p) for p in parts),
+            morphisms=tuple(
+                self._serialize_part(factor, p) for factor, p in zip(_SHAPES[check.kind], parts)
+            ),
             lhs=fail.lhs,
             rhs=fail.rhs,
             delta=fail.delta,
@@ -618,8 +683,9 @@ class _Engine:
             trial_index=trial_index,
         )
 
-    def _serialize_part(self, part) -> dict:
-        if hasattr(part, "mapping") or hasattr(part, "entries") or hasattr(part, "inner"):
+    def _serialize_part(self, factor: str, part) -> dict:
+        """part, the tuple member drawn from factor of its kind's _SHAPES."""
+        if factor != "O":
             return jsonio.morphism_to_json(part)
         return {
             "category": self.config.category.value,
@@ -770,16 +836,29 @@ class _Engine:
         vp, vf, vg = vals
         return _Fail(vp, vf + vg, abs(vp - (vf + vg)))
 
+    def _internal_pair(self, x, y) -> _Pair:
+        """<x, y> with its values: from the run's pair memo when one is
+        active (x and y are then corpus members), else built afresh."""
+        pairs = self._pairs
+        if pairs is None:
+            return _Pair(self.ops.internal_product(x, y))
+        positions = self._corpus_cache.positions
+        key = (positions[id(x)], positions[id(y)])
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = _Pair(self.ops.internal_product(x, y))
+        return pair
+
     def _eval_internal_strong_subadditivity(self, mctx, rng, parts, memo):
         f, g, h = parts
-        fg = self._once(memo, "fg", lambda: self.ops.internal_product(f, g))
-        gh = self._once(memo, "gh", lambda: self.ops.internal_product(g, h))
-        if is_undefined(fg) or is_undefined(gh):
+        fg = self._once(memo, "fg", lambda: self._internal_pair(f, g))
+        gh = self._once(memo, "gh", lambda: self._internal_pair(g, h))
+        if is_undefined(fg.morphism) or is_undefined(gh.morphism):
             return SKIP
-        fgh = self._once(memo, "fgh", lambda: self.ops.internal_product(fg, h))
+        fgh = self._once(memo, "fgh", lambda: self.ops.internal_product(fg.morphism, h))
         if is_undefined(fgh):
             return SKIP
-        vals = (mctx.value(fgh), mctx.value(fg), mctx.value(gh), mctx.value(g))
+        vals = (mctx.value(fgh), fg.value(mctx), gh.value(mctx), mctx.value(g))
         if any(is_undefined(v) for v in vals):
             return SKIP
         vfgh, vfg, vgh, vg = vals

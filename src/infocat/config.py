@@ -24,10 +24,11 @@ def get_log_base() -> str:
 
 def set_log_base(base: str | float) -> None:
     """Select the reporting base: "2"/2 for bits, "e"/math.e for nats."""
-    _log_base.set(_normalize(base))
+    _log_base.set(normalize(base))
 
 
-def _normalize(base) -> str:
+def normalize(base) -> str:
+    """The canonical name of a log base: "2" for bits, "e" for nats."""
     if base in (BITS, 2, 2.0, "bits"):
         return BITS
     if base in (NATS, math.e, "nats"):
@@ -38,7 +39,7 @@ def _normalize(base) -> str:
 @contextmanager
 def log_base(base: str | float):
     """Temporarily switch the reporting base (used by the audit runner)."""
-    token = _log_base.set(_normalize(base))
+    token = _log_base.set(normalize(base))
     try:
         yield
     finally:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterator
 
-from .errors import CategoryMismatch, SearchBudgetExceeded
+from .errors import CategoryMismatch, InvalidMorphism, InvalidObject, SearchBudgetExceeded
 
 
 class CategoryId(str, Enum):
@@ -52,6 +52,22 @@ UNDEFINED = UndefinedType()
 
 def is_undefined(x) -> bool:
     return x is UNDEFINED
+
+
+def int_from_json(value, what: str, error: type = InvalidObject) -> int:
+    """A decoded JSON integer field.  bool is an int subclass, but `true`
+    is malformed, not 1; floats and strings are rejected, never truncated
+    or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def ints_from_json(values, what: str, error: type = InvalidMorphism) -> tuple[int, ...]:
+    """A decoded JSON list of integers, as a tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{what} must be a list of integers, not {values!r}")
+    return tuple(int_from_json(v, f"{what} entry", error) for v in values)
 
 
 @dataclass(frozen=True)

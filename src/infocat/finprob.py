@@ -27,6 +27,8 @@ from .core import (
     CategoryId,
     IsoWitness,
     Limits,
+    int_from_json,
+    ints_from_json,
     register,
 )
 from .errors import (
@@ -370,13 +372,13 @@ class FinProbCategory(Category):
         return {"size": obj.size, "weights": [str(w) for w in obj.weights]}
 
     def object_from_json(self, data: dict) -> FinProbObject:
-        return FinProbObject(int(data["size"]), _as_weights(data["weights"]))
+        return FinProbObject(int_from_json(data["size"], "size"), _as_weights(data["weights"]))
 
     def payload_to_json(self, m: FinProbMorphism) -> dict:
         return {"map": list(m.mapping)}
 
     def morphism_from_json(self, domain, codomain, payload: dict) -> FinProbMorphism:
-        return FinProbMorphism(domain, codomain, tuple(payload["map"]))
+        return FinProbMorphism(domain, codomain, ints_from_json(payload["map"], "map"))
 
 
 class NoisyFinProbCategory(Category):
@@ -542,14 +544,14 @@ class NoisyFinProbCategory(Category):
         return NoisyProbObject(
             self._base.object_from_json(data["m"]),
             self._base.object_from_json(data["a"]),
-            tuple(data["pi"]),
+            ints_from_json(data["pi"], "pi", InvalidObject),
         )
 
     def payload_to_json(self, m: NoisyProbMorphism) -> dict:
         return {"map": list(m.mapping)}
 
     def morphism_from_json(self, domain, codomain, payload: dict) -> NoisyProbMorphism:
-        return NoisyProbMorphism(domain, codomain, tuple(payload["map"]))
+        return NoisyProbMorphism(domain, codomain, ints_from_json(payload["map"], "map"))
 
 
 FINPROB = register(FinProbCategory())

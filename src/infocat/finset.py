@@ -20,7 +20,16 @@ from itertools import product as iter_product
 from typing import Iterator
 
 from . import config
-from .core import ArrowIso, CategoryId, Category, IsoWitness, Limits, register
+from .core import (
+    ArrowIso,
+    CategoryId,
+    Category,
+    IsoWitness,
+    Limits,
+    int_from_json,
+    ints_from_json,
+    register,
+)
 from .errors import (
     DomainMismatch,
     EmptyDomain,
@@ -340,13 +349,13 @@ class FinSetCategory(Category):
         return {"size": obj.size}
 
     def object_from_json(self, data: dict) -> FinSetObject:
-        return FinSetObject(int(data["size"]))
+        return FinSetObject(int_from_json(data["size"], "size"))
 
     def payload_to_json(self, m: FinSetMorphism) -> dict:
         return {"map": list(m.mapping)}
 
     def morphism_from_json(self, domain, codomain, payload: dict) -> FinSetMorphism:
-        return FinSetMorphism(domain, codomain, tuple(int(v) for v in payload["map"]))
+        return FinSetMorphism(domain, codomain, ints_from_json(payload["map"], "map"))
 
 
 FINSET = register(FinSetCategory())

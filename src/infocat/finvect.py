@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterator
 
-from .core import ArrowIso, CategoryId, Category, IsoWitness, Limits, register
+from .core import ArrowIso, CategoryId, Category, IsoWitness, Limits, int_from_json, register
 from .errors import (
     CategoryMismatch,
     DomainMismatch,
@@ -93,7 +93,7 @@ GF3 = gf(3)
 def parse_field(name: str) -> FieldSpec:
     if name == "rational":
         return RATIONAL
-    if name.startswith("gf"):
+    if name.startswith("gf") and name[2:].isdigit():
         return gf(int(name[2:]))
     raise InvalidObject(f"unknown field {name!r}")
 
@@ -460,7 +460,7 @@ class FinVectCategory(Category):
         return {"dim": obj.dim, "field": obj.field.name}
 
     def object_from_json(self, data: dict) -> VectObject:
-        return VectObject(int(data["dim"]), parse_field(data["field"]))
+        return VectObject(int_from_json(data["dim"], "dim"), parse_field(data["field"]))
 
     @staticmethod
     def _scalar_to_json(field: FieldSpec, v):

@@ -27,6 +27,8 @@ def morphism_to_json(f) -> dict:
 
 
 def morphism_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise InvalidMorphism(f"a morphism is a JSON object, not {type(data).__name__}")
     try:
         cat_id = CategoryId(data["category"])
     except (KeyError, ValueError) as exc:
@@ -38,6 +40,9 @@ def morphism_from_json(data: dict):
         return ops.morphism_from_json(domain, codomain, data["payload"])
     except KeyError as exc:
         raise InvalidMorphism(f"missing morphism field: {exc}") from exc
+    except TypeError as exc:
+        # A field of the wrong JSON type, such as a list where an object goes.
+        raise InvalidMorphism(f"malformed morphism field: {exc}") from exc
 
 
 def channel_to_json(ch: Channel) -> dict:

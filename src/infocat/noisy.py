@@ -24,7 +24,16 @@ from typing import Iterator
 
 from .capacity import Channel, blahut_arimoto
 from .config import log
-from .core import ArrowIso, Category, CategoryId, IsoWitness, Limits, register
+from .core import (
+    ArrowIso,
+    Category,
+    CategoryId,
+    IsoWitness,
+    Limits,
+    int_from_json,
+    ints_from_json,
+    register,
+)
 from .errors import (
     DomainMismatch,
     InvalidMorphism,
@@ -426,13 +435,17 @@ class NoisyFinSetCategory(Category):
         return {"m": obj.m_size, "a": obj.a_size, "pi": list(obj.pi)}
 
     def object_from_json(self, data: dict) -> NoisyObject:
-        return NoisyObject(int(data["m"]), int(data["a"]), tuple(data["pi"]))
+        return NoisyObject(
+            int_from_json(data["m"], "m"),
+            int_from_json(data["a"], "a"),
+            ints_from_json(data["pi"], "pi", InvalidObject),
+        )
 
     def payload_to_json(self, m: NoisyMorphism) -> dict:
         return {"map": list(m.mapping)}
 
     def morphism_from_json(self, domain, codomain, payload: dict) -> NoisyMorphism:
-        return NoisyMorphism(domain, codomain, tuple(payload["map"]))
+        return NoisyMorphism(domain, codomain, ints_from_json(payload["map"], "map"))
 
 
 NOISY_FINSET = register(NoisyFinSetCategory())

@@ -21,17 +21,20 @@ from infocat import (
     generate,
     replay,
 )
-from infocat.audit import _CHECKS, _Engine
-from infocat.core import category
+from infocat.audit import _CHECKS, Violation, _Engine
+from infocat.config import log_base
+from infocat.core import UNDEFINED, category, is_undefined
 from infocat.errors import (
     EnumerationBudgetExceeded,
     IndexOutOfRange,
     InvalidObject,
     ReplayMismatch,
 )
-from infocat.finset import FINSET, Limits
+from infocat.exact import LogVal
+from infocat.finset import FINSET, Limits, finset_morphism, image_size
 from infocat.finvect import parse_field
-from infocat.jsonio import dumps
+from infocat.jsonio import dumps, morphism_to_json
+from infocat.measures import _REGISTRY, InfoMeasure, get_measure, value_of
 
 
 def finset_config(**kw):
@@ -367,6 +370,115 @@ class TestUnranking:
             for outside in (-1, len(stream)):
                 with pytest.raises(ReplayMismatch, match="outside"):
                     engine._parts_at(check, outside)
+
+
+ISS = "internal_strong_subadditivity"
+
+
+@pytest.fixture
+def image_squared(monkeypatch):
+    """A finset measure, registered for one test, that breaks strong
+    subadditivity: with f = {0},{1,2}, g constant and h = {0,1},{2} on a
+    three-point source, I(<<f,g>,h>) = 9 > I(<f,g>) + I(<g,h>) - I(g) = 7."""
+    measure = InfoMeasure(
+        "image_squared",
+        CategoryId.FINSET,
+        lambda m: float(image_size(m) ** 2),
+        lambda m: LogVal.from_rational(image_size(m) ** 2),
+    )
+    monkeypatch.setitem(_REGISTRY, (CategoryId.FINSET, measure.name), measure)
+    return measure.name
+
+
+def naive_strong_subadditivity(config):
+    """(checks_run, skipped, violations) of strong subadditivity as nested
+    loops over the corpus that rebuild every product and recompute every
+    value for every (triple, measure), from the category ops and value_of."""
+    ops = category(config.category)
+    field = parse_field(config.field) if config.field else None
+    corpus = list(ops.exhaustive_morphisms(Limits(config.max_size, field=field)))
+    by_dom = {}
+    for m in corpus:
+        by_dom.setdefault(m.domain, []).append(m)
+    measures = [get_measure(config.category, name) for name in config.measures]
+    triples = [(f, g, h) for f in corpus for g in by_dom[f.domain] for h in by_dom[f.domain]]
+    ran = skipped = 0
+    violations = []
+    with log_base(config.log_base):
+        for trial_index, (f, g, h) in enumerate(triples):
+            for measure in measures:
+                fg, gh = ops.internal_product(f, g), ops.internal_product(g, h)
+                fgh = UNDEFINED if is_undefined(fg) else ops.internal_product(fg, h)
+                if any(is_undefined(m) for m in (fg, gh, fgh)):
+                    skipped += 1
+                    continue
+                vfgh, vfg, vgh, vg = (value_of(measure, m) for m in (fgh, fg, gh, g))
+                if any(is_undefined(v) for v in (vfgh, vfg, vgh, vg)):
+                    skipped += 1
+                    continue
+                ran += 1
+                bound = vfg + vgh - vg
+                if vfgh > bound + config.tolerance + measure.slack:
+                    violations.append(
+                        Violation(
+                            check=ISS,
+                            measure=measure.name,
+                            morphisms=tuple(morphism_to_json(m) for m in (f, g, h)),
+                            lhs=vfgh,
+                            rhs=bound,
+                            delta=vfgh - bound,
+                            seed=config.seed,
+                            trial_index=trial_index,
+                        )
+                    )
+    return ran, skipped, violations
+
+
+class TestStrongSubadditivityMemo:
+    """Exhaustive strong subadditivity builds each pair product once per
+    check; its results must equal the naive per-triple recomputation."""
+
+    def audit_against_reference(self, **kw):
+        config = AuditConfig(mode="exhaustive", checks=(ISS,), **kw)
+        report = audit_all(config)
+        ran, skipped, violations = naive_strong_subadditivity(config)
+        assert report.checks_run == {ISS: ran}
+        assert report.skipped_undefined == {ISS: skipped}
+        assert report.violations == violations
+        for i, v in enumerate(report.violations):
+            assert replay(report, i) == v
+        return report
+
+    def test_finset_matches_naive_recomputation(self, image_squared):
+        report = self.audit_against_reference(
+            category="finset", measures=(image_squared, "shannon"), max_size=3
+        )
+        assert report.checks_run[ISS] == 2 * 49_616
+        assert report.violations
+        assert {v.measure for v in report.violations} == {image_squared}
+        f = finset_morphism((0, 1, 1), 2)
+        g = finset_morphism((0, 0, 0), 1)
+        h = finset_morphism((0, 0, 1), 2)
+        witness = tuple(morphism_to_json(m) for m in (f, g, h))
+        (found,) = [v for v in report.violations if v.morphisms == witness]
+        assert (found.lhs, found.rhs, found.delta) == (9.0, 7.0, 2.0)
+
+    def test_finvect_gf2_matches_naive_recomputation(self):
+        report = self.audit_against_reference(
+            category="finvect", measures=("rank",), max_size=2, field="gf2"
+        )
+        assert report.checks_run[ISS] > 0
+
+    def test_each_pair_product_is_built_once(self, monkeypatch):
+        # Sum over sources d of |G_d|^2, G_d the maps out of d, on finset
+        # size <= 3: 6^2 + 14^2 + 36^2 distinct pairs against 49,616 triples.
+        calls = []
+        build = FINSET.internal_product
+        monkeypatch.setattr(FINSET, "internal_product", lambda f, g: calls.append(1) or build(f, g))
+        engine = _Engine(finset_config(max_size=3, measures=("shannon", "hartley")), (ISS,))
+        engine.run()
+        assert len(calls) == 49_616 + 1_528
+        assert engine._pairs is None
 
 
 class TestFindings:

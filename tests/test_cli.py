@@ -3,12 +3,13 @@ exit codes, stdout shapes, report files, and replay behaviour."""
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from infocat.cli import main
 from infocat.finset import finset_morphism
-from infocat.jsonio import morphism_to_json
+from infocat.jsonio import morphism_from_json, morphism_to_json
 
 
 def run(capsys, *argv):
@@ -137,6 +138,15 @@ class TestReplay:
             ("config", "trials", True),
             ("config", "seed", "0"),
             ("config", "budget", 1e7),
+            ("config", "log_base", "10"),
+            ("config", "measures", [3]),
+            ("config", "measures", "broken_constant"),
+            ("config", "field", 5),
+            ("config", "field", "gfx"),
+            ("config", "checks", "invariance"),
+            ("config", "checks", [None]),
+            ("config", "tolerance", True),
+            ("config", "tolerance", "1e-9"),
         ],
     )
     def test_malformed_field_is_input_error(self, capsys, tmp_path, section, key, value):
@@ -213,6 +223,97 @@ class TestInfo:
         code, _, err = run(capsys, "info", "--input", "-", "--measure", "shannon")
         assert code == 2
         assert "<stdin>: invalid JSON at line 1 column" in err
+
+
+def _finprob(size):
+    return {"size": size, "weights": [str(Fraction(1, size))] * size}
+
+
+# One well-formed morphism out of a two-point source per point-map category.
+POINT_MAPS = {
+    "finset": {
+        "category": "finset",
+        "domain": {"size": 2},
+        "codomain": {"size": 2},
+        "payload": {"map": [1, 0]},
+    },
+    "noisy_finset": {
+        "category": "noisy_finset",
+        "domain": {"m": 2, "a": 1, "pi": [0, 0]},
+        "codomain": {"m": 2, "a": 1, "pi": [0, 0]},
+        "payload": {"map": [1, 0]},
+    },
+    "finprob": {
+        "category": "finprob",
+        "domain": _finprob(2),
+        "codomain": _finprob(2),
+        "payload": {"map": [1, 0]},
+    },
+    "noisy_finprob": {
+        "category": "noisy_finprob",
+        "domain": {"m": _finprob(2), "a": _finprob(1), "pi": [0, 0]},
+        "codomain": {"m": _finprob(2), "a": _finprob(1), "pi": [0, 0]},
+        "payload": {"map": [1, 0]},
+    },
+}
+
+
+def _set(data, path, value):
+    *head, last = path
+    for key in head:
+        data = data[key]
+    data[last] = value
+
+
+class TestMalformedMorphism:
+    """Every malformed morphism is an input error (exit 2), never an
+    internal error, and an integer field is never coerced."""
+
+    @pytest.mark.parametrize(
+        "cat, path, value, message",
+        [
+            ("finset", ("payload", "map"), "ab", "map must be a list of integers"),
+            ("finset", ("payload", "map"), [1.7, 0], "map entry must be an integer, not 1.7"),
+            ("finset", ("payload", "map"), [True, 0], "map entry must be an integer, not True"),
+            ("finset", ("payload", "map"), 5, "map must be a list of integers"),
+            ("finset", ("domain", "size"), True, "size must be an integer, not True"),
+            ("finset", ("domain", "size"), 2.0, "size must be an integer"),
+            ("finset", ("payload",), [1, 0], "malformed morphism field"),
+            ("finset", ("domain",), [2], "malformed morphism field"),
+            ("noisy_finset", ("payload", "map"), [1.0, 0], "map entry must be an integer"),
+            ("noisy_finset", ("payload", "map"), [True, 0], "map entry must be an integer"),
+            ("noisy_finset", ("domain", "m"), "2", "m must be an integer"),
+            ("noisy_finset", ("domain", "a"), True, "a must be an integer"),
+            ("noisy_finset", ("domain", "pi"), [0.0, 0], "pi entry must be an integer"),
+            ("finprob", ("payload", "map"), [1, 0.0], "map entry must be an integer"),
+            ("finprob", ("codomain", "size"), "2", "size must be an integer"),
+            ("noisy_finprob", ("payload", "map"), ["1", 0], "map entry must be an integer"),
+            ("noisy_finprob", ("domain", "pi"), [0, False], "pi entry must be an integer"),
+            ("noisy_finprob", ("domain", "m", "size"), 2.0, "size must be an integer"),
+        ],
+    )
+    def test_field_is_input_error(self, capsys, monkeypatch, cat, path, value, message):
+        data = json.loads(json.dumps(POINT_MAPS[cat]))
+        _set(data, path, value)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        code, out, err = run(capsys, "info", "--input", "-", "--measure", "hartley")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("cat", sorted(POINT_MAPS))
+    def test_well_formed_decodes(self, cat):
+        # The malformed cases above differ from these in one field only.
+        m = morphism_from_json(POINT_MAPS[cat])
+        assert m.mapping == (1, 0)
+        assert morphism_to_json(m) == POINT_MAPS[cat]
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"finset"', "null"])
+    def test_non_object_is_input_error(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run(capsys, "info", "--input", "-", "--measure", "shannon")
+        assert code == 2
+        assert "a morphism is a JSON object" in err
 
 
 class TestCapacity:
