@@ -63,6 +63,14 @@ def int_from_json(value, what: str, error: type = InvalidObject) -> int:
     return value
 
 
+def dict_from_json(value, what: str, error: type = InvalidMorphism) -> dict:
+    """A decoded JSON object field; a list or scalar in its place is
+    malformed."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def ints_from_json(values, what: str, error: type = InvalidMorphism) -> tuple[int, ...]:
     """A decoded JSON list of integers, as a tuple."""
     if not isinstance(values, (list, tuple)):

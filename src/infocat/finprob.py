@@ -27,6 +27,7 @@ from .core import (
     CategoryId,
     IsoWitness,
     Limits,
+    dict_from_json,
     int_from_json,
     ints_from_json,
     register,
@@ -542,8 +543,8 @@ class NoisyFinProbCategory(Category):
 
     def object_from_json(self, data: dict) -> NoisyProbObject:
         return NoisyProbObject(
-            self._base.object_from_json(data["m"]),
-            self._base.object_from_json(data["a"]),
+            self._base.object_from_json(dict_from_json(data["m"], "m", InvalidObject)),
+            self._base.object_from_json(dict_from_json(data["a"], "a", InvalidObject)),
             ints_from_json(data["pi"], "pi", InvalidObject),
         )
 

@@ -91,10 +91,13 @@ GF3 = gf(3)
 
 
 def parse_field(name: str) -> FieldSpec:
+    if not isinstance(name, str):
+        raise InvalidObject(f"a field name is a string, not {name!r}")
     if name == "rational":
         return RATIONAL
-    if name.startswith("gf") and name[2:].isdigit():
-        return gf(int(name[2:]))
+    digits = name[2:]
+    if name.startswith("gf") and digits.isascii() and digits.isdecimal():
+        return gf(int(digits))
     raise InvalidObject(f"unknown field {name!r}")
 
 

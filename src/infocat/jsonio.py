@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .capacity import Channel
-from .core import CategoryId, category
+from .core import CategoryId, category, dict_from_json
 from .errors import InvalidMorphism
 
 
@@ -35,14 +35,14 @@ def morphism_from_json(data: dict):
         raise InvalidMorphism(f"unknown or missing category: {data.get('category')!r}") from exc
     ops = category(cat_id)
     try:
-        domain = ops.object_from_json(data["domain"])
-        codomain = ops.object_from_json(data["codomain"])
-        return ops.morphism_from_json(domain, codomain, data["payload"])
+        domain, codomain, payload = (
+            dict_from_json(data[key], key) for key in ("domain", "codomain", "payload")
+        )
+        return ops.morphism_from_json(
+            ops.object_from_json(domain), ops.object_from_json(codomain), payload
+        )
     except KeyError as exc:
         raise InvalidMorphism(f"missing morphism field: {exc}") from exc
-    except TypeError as exc:
-        # A field of the wrong JSON type, such as a list where an object goes.
-        raise InvalidMorphism(f"malformed morphism field: {exc}") from exc
 
 
 def channel_to_json(ch: Channel) -> dict:

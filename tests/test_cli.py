@@ -258,6 +258,18 @@ POINT_MAPS = {
 }
 
 
+# The same for finvect, whose field names are parsed, not decoded as integers.
+MORPHISMS = {
+    **POINT_MAPS,
+    "finvect": {
+        "category": "finvect",
+        "domain": {"dim": 2, "field": "gf2"},
+        "codomain": {"dim": 2, "field": "gf2"},
+        "payload": {"field": "gf2", "rows": 2, "cols": 2, "entries": [[0, 1], [1, 0]]},
+    },
+}
+
+
 def _set(data, path, value):
     *head, last = path
     for key in head:
@@ -278,8 +290,9 @@ class TestMalformedMorphism:
             ("finset", ("payload", "map"), 5, "map must be a list of integers"),
             ("finset", ("domain", "size"), True, "size must be an integer, not True"),
             ("finset", ("domain", "size"), 2.0, "size must be an integer"),
-            ("finset", ("payload",), [1, 0], "malformed morphism field"),
-            ("finset", ("domain",), [2], "malformed morphism field"),
+            ("finset", ("payload",), [1, 0], "payload must be a JSON object, not list"),
+            ("finset", ("domain",), [2], "domain must be a JSON object, not list"),
+            ("finset", ("codomain",), 2, "codomain must be a JSON object, not int"),
             ("noisy_finset", ("payload", "map"), [1.0, 0], "map entry must be an integer"),
             ("noisy_finset", ("payload", "map"), [True, 0], "map entry must be an integer"),
             ("noisy_finset", ("domain", "m"), "2", "m must be an integer"),
@@ -290,13 +303,21 @@ class TestMalformedMorphism:
             ("noisy_finprob", ("payload", "map"), ["1", 0], "map entry must be an integer"),
             ("noisy_finprob", ("domain", "pi"), [0, False], "pi entry must be an integer"),
             ("noisy_finprob", ("domain", "m", "size"), 2.0, "size must be an integer"),
+            ("noisy_finprob", ("domain", "m"), [2], "m must be a JSON object, not list"),
+            ("noisy_finprob", ("codomain", "a"), 1, "a must be a JSON object, not int"),
+            ("finvect", ("domain", "field"), 5, "a field name is a string, not 5"),
+            ("finvect", ("payload", "field"), 5, "a field name is a string, not 5"),
+            ("finvect", ("payload", "field"), "gf\u00b2", "unknown field"),
+            ("finvect", ("codomain", "field"), "gfx", "unknown field"),
+            ("finvect", ("domain", "dim"), True, "dim must be an integer"),
         ],
     )
     def test_field_is_input_error(self, capsys, monkeypatch, cat, path, value, message):
-        data = json.loads(json.dumps(POINT_MAPS[cat]))
+        data = json.loads(json.dumps(MORPHISMS[cat]))
         _set(data, path, value)
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
-        code, out, err = run(capsys, "info", "--input", "-", "--measure", "hartley")
+        measure = "rank" if cat == "finvect" else "hartley"
+        code, out, err = run(capsys, "info", "--input", "-", "--measure", measure)
         assert code == 2
         assert out == ""
         assert message in err
