@@ -42,6 +42,13 @@ What is memoized, and for how long:
   count.  The pair checks get no such memo: their tuples do not recur,
   and a corpus-wide memo of every pair product would grow with the
   square of the corpus for the whole audit.
+
+Outside the engine, per process: the capacity measure keeps each
+Blahut-Arimoto result by (channel, eps) in a bounded lru_cache
+(noisy._solve), so audits and replays that meet one channel solve it
+once; random-mode audits, which the caches above never reach, gain most.
+A solve that stopped at max_iters stays cached as such, and its value
+is UNDEFINED: a skip, never a comparison within the solver slack.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ able to count these outcomes rather than crash on them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Any, Iterator
 
 from .errors import CategoryMismatch, InvalidMorphism, InvalidObject, SearchBudgetExceeded
@@ -76,6 +78,31 @@ def ints_from_json(values, what: str, error: type = InvalidMorphism) -> tuple[in
     if not isinstance(values, (list, tuple)):
         raise error(f"{what} must be a list of integers, not {values!r}")
     return tuple(int_from_json(v, f"{what} entry", error) for v in values)
+
+
+# What str(Fraction) writes ("-3", "3/8"), plus plain decimals.  No
+# exponent: Fraction("1e999999999") would build a billion-digit integer.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def rational_from_json(value, what: str, error: type = InvalidObject) -> Fraction:
+    """A decoded JSON rational: an integer, or a string such as "3/8".
+    As with integers, `true` and floats are malformed, not coerced."""
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or past the int digit limit
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise error(f"{what} must be an integer or a string like \"3/8\", not {value!r}")
+
+
+def rationals_from_json(values, what: str, error: type = InvalidObject) -> tuple[Fraction, ...]:
+    """A decoded JSON list of rationals, as a tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{what} must be a list of rationals, not {values!r}")
+    return tuple(rational_from_json(v, f"{what} entry", error) for v in values)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,23 @@ class LogVal:
             coeffs[p] = coeffs.get(p, Fraction(0)) - coeff * e
         return cls({p: c for p, c in coeffs.items() if c != 0})
 
+    @classmethod
+    def from_weighted_logs(cls, terms, denominator: int = 1) -> "LogVal":
+        """(1/denominator) * sum(w * log2(k) for w, k in terms), for integer
+        weights w and positive integer arguments k.
+
+        One pass over prime exponents with integer accumulators: no
+        intermediate LogVal, and one Fraction per surviving prime."""
+        acc: dict[int, int] = {}
+        for w, k in terms:
+            if k < 1:
+                raise ValueError("logarithm argument must be positive")
+            if w == 0 or k == 1:
+                continue
+            for p, e in _factor(k):
+                acc[p] = acc.get(p, 0) + w * e
+        return cls({p: Fraction(c, denominator) for p, c in acc.items() if c != 0})
+
     def __add__(self, other: "LogVal") -> "LogVal":
         coeffs = dict(self.coeffs)
         for p, c in other.coeffs.items():

@@ -30,6 +30,7 @@ from .core import (
     dict_from_json,
     int_from_json,
     ints_from_json,
+    rationals_from_json,
     register,
 )
 from .errors import (
@@ -44,10 +45,6 @@ from .errors import (
 from .exact import LogVal
 from .measures import InfoMeasure, register_measure
 from .noisy import NoisyMorphism
-
-
-def _as_weights(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,8 +176,11 @@ def continuous_noisy_information_exact(f: NoisyProbMorphism):
     return total
 
 
-def continuous_capacity(f: NoisyProbMorphism, eps: float = 1e-9) -> float:
-    """Capacity of the induced conditional law P(b | a) = rho(a,b)/alpha(a)."""
+def continuous_capacity(f: NoisyProbMorphism, eps: float = 1e-9):
+    """Capacity of the induced conditional law P(b | a) = rho(a,b)/alpha(a),
+    or UNDEFINED when the solver stopped at its iteration cap.  The solver
+    renormalizes raw rows but not a Channel, so this path keeps raw rows
+    and does not share noisy_capacity's cache."""
     rho = _joint_masses(f)
     alpha = f.domain.message.weights
     rows = []
@@ -188,7 +188,8 @@ def continuous_capacity(f: NoisyProbMorphism, eps: float = 1e-9) -> float:
         if alpha[a] == 0:
             raise ZeroMassFiber(f"message {a} has zero mass")
         rows.append([float(mass / alpha[a]) for mass in row])
-    return blahut_arimoto(rows, eps=eps).capacity
+    result = blahut_arimoto(rows, eps=eps)
+    return result.capacity if result.converged else UNDEFINED
 
 
 def from_noisy_finset(f: NoisyMorphism) -> NoisyProbMorphism:
@@ -216,19 +217,25 @@ class FinProbCategory(Category):
     def identity(self, obj: FinProbObject) -> FinProbMorphism:
         return FinProbMorphism(obj, obj, tuple(range(obj.size)))
 
-    def product_object(self, x: FinProbObject, y: FinProbObject):
-        size = x.size * y.size
+    @staticmethod
+    def _product_space(x: FinProbObject, y: FinProbObject) -> FinProbObject:
+        """The product object alone; the products of morphisms need no
+        projections."""
         weights = tuple(
             x.weights[i] * y.weights[j] for i in range(x.size) for j in range(y.size)
         )
-        prod = FinProbObject(size, weights)
+        return FinProbObject(x.size * y.size, weights)
+
+    def product_object(self, x: FinProbObject, y: FinProbObject):
+        prod = self._product_space(x, y)
+        size = prod.size
         p1 = FinProbMorphism(prod, x, tuple(i // y.size for i in range(size)))
         p2 = FinProbMorphism(prod, y, tuple(i % y.size for i in range(size)))
         return prod, p1, p2
 
     def external_product(self, f: FinProbMorphism, g: FinProbMorphism) -> FinProbMorphism:
-        dom, _, _ = self.product_object(f.domain, g.domain)
-        cod, _, _ = self.product_object(f.codomain, g.codomain)
+        dom = self._product_space(f.domain, g.domain)
+        cod = self._product_space(f.codomain, g.codomain)
         n2 = g.codomain.size
         mapping = tuple(
             f.mapping[i] * n2 + g.mapping[j]
@@ -240,7 +247,7 @@ class FinProbCategory(Category):
     def internal_product(self, f: FinProbMorphism, g: FinProbMorphism):
         if f.domain != g.domain:
             raise DomainMismatch("internal product needs a shared source")
-        cod, _, _ = self.product_object(f.codomain, g.codomain)
+        cod = self._product_space(f.codomain, g.codomain)
         n2 = g.codomain.size
         mapping = tuple(
             f.mapping[m] * n2 + g.mapping[m] for m in range(f.domain.size)
@@ -373,7 +380,9 @@ class FinProbCategory(Category):
         return {"size": obj.size, "weights": [str(w) for w in obj.weights]}
 
     def object_from_json(self, data: dict) -> FinProbObject:
-        return FinProbObject(int_from_json(data["size"], "size"), _as_weights(data["weights"]))
+        return FinProbObject(
+            int_from_json(data["size"], "size"), rationals_from_json(data["weights"], "weights")
+        )
 
     def payload_to_json(self, m: FinProbMorphism) -> dict:
         return {"map": list(m.mapping)}
@@ -403,22 +412,30 @@ class NoisyFinProbCategory(Category):
     def identity(self, obj: NoisyProbObject) -> NoisyProbMorphism:
         return NoisyProbMorphism(obj, obj, tuple(range(obj.noise.size)))
 
-    def product_object(self, x: NoisyProbObject, y: NoisyProbObject):
-        noise, n1, n2 = self._base.product_object(x.noise, y.noise)
-        message, _, _ = self._base.product_object(x.message, y.message)
+    def _product_space(self, x: NoisyProbObject, y: NoisyProbObject) -> NoisyProbObject:
+        """The product object alone; the products of morphisms need no
+        projections."""
         pi = tuple(
             x.pi[i] * y.message.size + y.pi[j]
             for i in range(x.noise.size)
             for j in range(y.noise.size)
         )
-        prod = NoisyProbObject(noise, message, pi)
-        p1 = NoisyProbMorphism(prod, x, n1.mapping)
-        p2 = NoisyProbMorphism(prod, y, n2.mapping)
+        return NoisyProbObject(
+            self._base._product_space(x.noise, y.noise),
+            self._base._product_space(x.message, y.message),
+            pi,
+        )
+
+    def product_object(self, x: NoisyProbObject, y: NoisyProbObject):
+        prod = self._product_space(x, y)
+        size = prod.noise.size
+        p1 = NoisyProbMorphism(prod, x, tuple(i // y.noise.size for i in range(size)))
+        p2 = NoisyProbMorphism(prod, y, tuple(i % y.noise.size for i in range(size)))
         return prod, p1, p2
 
     def external_product(self, f: NoisyProbMorphism, g: NoisyProbMorphism) -> NoisyProbMorphism:
-        dom, _, _ = self.product_object(f.domain, g.domain)
-        cod, _, _ = self.product_object(f.codomain, g.codomain)
+        dom = self._product_space(f.domain, g.domain)
+        cod = self._product_space(f.codomain, g.codomain)
         n2 = g.codomain.noise.size
         mapping = tuple(
             f.mapping[i] * n2 + g.mapping[j]
@@ -430,7 +447,7 @@ class NoisyFinProbCategory(Category):
     def internal_product(self, f: NoisyProbMorphism, g: NoisyProbMorphism):
         if f.domain != g.domain:
             raise DomainMismatch("internal product needs a shared source")
-        cod, _, _ = self.product_object(f.codomain, g.codomain)
+        cod = self._product_space(f.codomain, g.codomain)
         n2 = g.codomain.noise.size
         mapping = tuple(
             f.mapping[m] * n2 + g.mapping[m] for m in range(f.domain.noise.size)

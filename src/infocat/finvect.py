@@ -15,7 +15,16 @@ from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterator
 
-from .core import ArrowIso, CategoryId, Category, IsoWitness, Limits, int_from_json, register
+from .core import (
+    ArrowIso,
+    Category,
+    CategoryId,
+    IsoWitness,
+    Limits,
+    int_from_json,
+    rationals_from_json,
+    register,
+)
 from .errors import (
     CategoryMismatch,
     DomainMismatch,
@@ -90,6 +99,10 @@ GF2 = gf(2)
 GF3 = gf(3)
 
 
+# The largest GF(p) modulus a field name may ask for.
+MAX_MODULUS = 2**31
+
+
 def parse_field(name: str) -> FieldSpec:
     if not isinstance(name, str):
         raise InvalidObject(f"a field name is a string, not {name!r}")
@@ -97,6 +110,10 @@ def parse_field(name: str) -> FieldSpec:
         return RATIONAL
     digits = name[2:]
     if name.startswith("gf") and digits.isascii() and digits.isdecimal():
+        # gf() tests primality by trial division up to sqrt(p); the bound
+        # keeps that to at most 46,341 steps.
+        if len(digits) > len(str(MAX_MODULUS)) or int(digits) > MAX_MODULUS:
+            raise InvalidObject(f"GF(p) needs a modulus p <= 2**31, not {digits}")
         return gf(int(digits))
     raise InvalidObject(f"unknown field {name!r}")
 
@@ -480,10 +497,13 @@ class FinVectCategory(Category):
 
     def morphism_from_json(self, domain, codomain, payload: dict) -> LinearMorphism:
         field = parse_field(payload["field"])
-        entries = tuple(
-            tuple(field.element(v if field.char else Fraction(v)) for v in row)
-            for row in payload["entries"]
-        )
+        rows = payload["entries"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise InvalidMorphism(f"entries must be a list of rows, not {rows!r}")
+        if field.char:
+            entries = tuple(tuple(field.element(v) for v in row) for row in rows)
+        else:
+            entries = tuple(rationals_from_json(row, "entries", InvalidMorphism) for row in rows)
         return LinearMorphism(domain, codomain, entries)
 
 

@@ -310,6 +310,17 @@ class TestMalformedMorphism:
             ("finvect", ("payload", "field"), "gf\u00b2", "unknown field"),
             ("finvect", ("codomain", "field"), "gfx", "unknown field"),
             ("finvect", ("domain", "dim"), True, "dim must be an integer"),
+            ("finprob", ("domain", "weights"), ["x", "1"], "weights entry must be an integer or"),
+            ("finprob", ("domain", "weights"), [True, 0], "weights entry must be an integer or"),
+            ("finprob", ("domain", "weights"), [0.5, 0.5], "weights entry must be an integer or"),
+            ("finprob", ("domain", "weights"), ["1/0", "1"], "weights entry must be an integer or"),
+            ("finprob", ("domain", "weights"), ["1e9", "1"], "weights entry must be an integer or"),
+            ("finprob", ("domain", "weights"), "1/2", "weights must be a list of rationals"),
+            ("noisy_finprob", ("domain", "a", "weights"), [None], "weights entry must be"),
+            ("finvect", ("payload", "entries"), 5, "entries must be a list of rows"),
+            ("finvect", ("payload", "entries"), [0, 1], "entries must be a list of rows"),
+            ("finvect", ("domain", "field"), "gf1000000000000000003", "modulus p <= 2**31"),
+            ("finvect", ("payload", "field"), "gf2147483659", "modulus p <= 2**31"),
         ],
     )
     def test_field_is_input_error(self, capsys, monkeypatch, cat, path, value, message):
@@ -318,6 +329,27 @@ class TestMalformedMorphism:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
         measure = "rank" if cat == "finvect" else "hartley"
         code, out, err = run(capsys, "info", "--input", "-", "--measure", measure)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("x", "entries entry must be an integer or"), (True, "must be an integer or"),
+         (0.5, "must be an integer or"), ([1], "must be an integer or")],
+    )
+    def test_rational_entries_decoded_strictly(self, capsys, monkeypatch, entry, message):
+        ok = ["1/2", -3]
+        data = {
+            "category": "finvect",
+            "domain": {"dim": 2, "field": "rational"},
+            "codomain": {"dim": 1, "field": "rational"},
+            "payload": {"field": "rational", "rows": 1, "cols": 2, "entries": [ok]},
+        }
+        assert morphism_from_json(data).entries == ((Fraction(1, 2), Fraction(-3)),)
+        data["payload"]["entries"] = [[ok[0], entry]]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        code, out, err = run(capsys, "info", "--input", "-", "--measure", "rank")
         assert code == 2
         assert out == ""
         assert message in err
