@@ -62,7 +62,7 @@ from typing import Iterator
 
 from . import config as cfg
 from . import jsonio
-from .core import CategoryId, Limits, category, int_from_json, is_undefined
+from .core import CategoryId, Limits, category, dict_from_json, int_from_json, is_undefined
 from .errors import (
     EnumerationBudgetExceeded,
     IndexOutOfRange,
@@ -232,10 +232,11 @@ class AuditReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "AuditReport":
+        data = dict_from_json(data, "report", InvalidObject)
         if data.get("schema") != SCHEMA:
             raise ReplayMismatch(f"unknown report schema {data.get('schema')!r}")
         return cls(
-            config=AuditConfig.from_json(data["config"]),
+            config=AuditConfig.from_json(dict_from_json(data["config"], "config", InvalidObject)),
             checks_run=dict(data["checks_run"]),
             skipped_undefined=dict(data["skipped_undefined"]),
             violations=[Violation.from_json(v) for v in data["violations"]],
@@ -545,10 +546,7 @@ class _Engine:
 
     def _terminal(self):
         if self._terminal_cache is None:
-            if self.config.category in (CategoryId.FINVECT, CategoryId.FINVECT_DUAL) and self.limits.field is not None:
-                self._terminal_cache = self.ops.terminal_object(self.limits.field)
-            else:
-                self._terminal_cache = self.ops.terminal_object()
+            self._terminal_cache = self.ops.terminal_for(self.limits)
         return self._terminal_cache
 
     def _blocks(self, kind: str) -> tuple[tuple, tuple]:

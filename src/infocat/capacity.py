@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +27,13 @@ class Channel:
         for i, row in enumerate(self.matrix):
             if len(row) != width:
                 raise InvalidChannel(f"row {i} has {len(row)} entries, expected {width}")
+            if not all(map(math.isfinite, row)):
+                raise InvalidChannel(f"row {i} contains a non-finite entry")
             if any(v < 0.0 for v in row):
                 raise InvalidChannel(f"row {i} contains a negative probability")
             total = sum(row)
             if abs(total - 1.0) > ROW_SUM_TOL:
                 raise InvalidChannel(f"row {i} sums to {total!r}, not 1")
-
-    @property
-    def n_inputs(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def n_outputs(self) -> int:
-        return len(self.matrix[0])
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.matrix, dtype=float)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -123,6 +124,10 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise _CliError(2, f"--epsilon must be a finite number above 0, not {args.epsilon}")
+    if args.max_iters < 1:
+        raise _CliError(2, f"--max-iters must be at least 1, not {args.max_iters}")
     data = _load_json(args.channel)
     channel = jsonio.channel_from_json(data)
     result = blahut_arimoto(channel, eps=args.epsilon, max_iters=args.max_iters)

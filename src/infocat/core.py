@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .errors import CategoryMismatch, InvalidMorphism, InvalidObject, SearchBudgetExceeded
+from .errors import CategoryMismatch, InvalidMorphism, InvalidObject
 
 
 class CategoryId(str, Enum):
@@ -105,6 +105,24 @@ def rationals_from_json(values, what: str, error: type = InvalidObject) -> tuple
     return tuple(rational_from_json(v, f"{what} entry", error) for v in values)
 
 
+def float_from_json(value, what: str, error: type = InvalidObject) -> float:
+    """A decoded JSON number, as a float.  As with integers, `true` and
+    strings are malformed, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{what} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} is out of float range") from None
+
+
+def floats_from_json(values, what: str, error: type = InvalidObject) -> tuple[float, ...]:
+    """A decoded JSON list of numbers, as a tuple of floats."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{what} must be a list of numbers, not {values!r}")
+    return tuple(float_from_json(v, f"{what} entry", error) for v in values)
+
+
 @dataclass(frozen=True)
 class IsoWitness:
     """An invertible morphism together with its inverse.
@@ -178,6 +196,10 @@ class Category:
     def terminal_object(self):
         raise NotImplementedError
 
+    def terminal_for(self, limits: Limits):
+        """The terminal object of the corpus that limits describe."""
+        return self.terminal_object()
+
     def unique_to_terminal(self, obj):
         raise NotImplementedError
 
@@ -204,10 +226,6 @@ class Category:
     def section_exists(self, f, g) -> bool:
         """Whether some s with s . g . f == f exists (f: A->B, g: B->C)."""
         raise NotImplementedError
-
-    def section_search(self, f, g, budget: int = 1_000_000) -> bool:
-        """Brute-force cross-check of section_exists; may be expensive."""
-        raise SearchBudgetExceeded(f"{self.id.value} has no finite section search")
 
     # -- corpus generation ---------------------------------------------
     def exhaustive_objects(self, limits: Limits) -> Iterator:
@@ -290,15 +308,3 @@ def terminal_object(cat_id: CategoryId | str):
 
 def unique_to_terminal(cat_id: CategoryId | str, obj):
     return category(cat_id).unique_to_terminal(obj)
-
-
-def arrow_isomorphism(f, g, budget: int = 100_000) -> ArrowIso | None:
-    return _require_same_category(f, g).arrow_iso(f, g, budget)
-
-
-def is_arrow_isomorphic(f, g, budget: int = 100_000) -> bool:
-    ops = _require_same_category(f, g)
-    inv = ops.iso_invariant(f)
-    if inv is not None:
-        return inv == ops.iso_invariant(g)
-    return ops.arrow_iso(f, g, budget) is not None

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, Union
 
+from . import pointmap
 from .core import ArrowIso, Category, CategoryId, IsoWitness, Limits, register
 from .errors import (
     CategoryMismatch,
@@ -24,19 +25,9 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .exact import LogVal
-from .finset import FinSetCategory, FinSetMorphism, FinSetObject, _all_mappings
-from .finvect import (
-    GF2,
-    FinVectCategory,
-    LinearMorphism,
-    VectObject,
-    _rank,
-    rank,
-)
+from .finset import FINSET, FinSetMorphism, FinSetObject
+from .finvect import FINVECT, GF2, LinearMorphism, VectObject, _rank, rank
 from .measures import InfoMeasure, register_measure
-
-_FINSET = FinSetCategory()
-_FINVECT = FinVectCategory()
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,18 +98,6 @@ class _DualCategory(Category):
     def random_iso_out(self, rng, obj) -> IsoWitness:
         return self._wrap_witness(self.base.random_iso_out(rng, obj))
 
-    # -- sections -----------------------------------------------------
-    def section_search(self, f: DualMorphism, g: DualMorphism, budget: int = 1_000_000) -> bool:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("section test needs composable f then g")
-        # A section s*: C -> B is an inner map s: B -> C with
-        # f.inner . g.inner . s == f.inner.
-        fg = self.base.compose(f.inner, g.inner)
-        for s in self._maps_between(f.inner.domain, g.inner.domain, budget):
-            if self.base.compose(fg, s) == f.inner:
-                return True
-        return False
-
     # -- corpus -------------------------------------------------------
     def exhaustive_morphisms(self, limits: Limits) -> Iterator[DualMorphism]:
         for obj in self.exhaustive_objects(limits):
@@ -126,7 +105,7 @@ class _DualCategory(Category):
 
     def exhaustive_morphisms_from(self, obj, limits: Limits) -> Iterator[DualMorphism]:
         for cod in self.exhaustive_objects(limits):
-            for inner in self._maps_between(cod, obj, float("inf")):
+            for inner in self._maps_between(cod, obj):
                 yield DualMorphism(inner)
 
     def random_morphism(self, rng, limits: Limits) -> DualMorphism:
@@ -149,7 +128,7 @@ class _DualCategory(Category):
 
 class FinSetDualCategory(_DualCategory):
     id = CategoryId.FINSET_DUAL
-    base = _FINSET
+    base = FINSET
 
     # -- coproducts of the base ----------------------------------------
     def product_object(self, x: FinSetObject, y: FinSetObject):
@@ -203,17 +182,8 @@ class FinSetDualCategory(_DualCategory):
         fg = self.base.compose(f.inner, g.inner)
         return set(f.inner.mapping) <= set(fg.mapping)
 
-    def _maps_between(self, dom: FinSetObject, cod: FinSetObject, budget) -> Iterator[FinSetMorphism]:
-        if dom.size == 0:
-            yield FinSetMorphism(dom, cod, ())
-            return
-        if cod.size == 0:
-            return
-        if cod.size ** dom.size > budget:
-            raise SearchBudgetExceeded(
-                f"{cod.size ** dom.size} candidate maps exceed budget {budget}"
-            )
-        for mapping in _all_mappings(dom.size, cod.size):
+    def _maps_between(self, dom: FinSetObject, cod: FinSetObject) -> Iterator[FinSetMorphism]:
+        for mapping in pointmap.maps(dom.size, cod.size):
             yield FinSetMorphism(dom, cod, mapping)
 
     def exhaustive_objects(self, limits: Limits) -> Iterator[FinSetObject]:
@@ -228,15 +198,12 @@ class FinSetDualCategory(_DualCategory):
         if obj.size == 0:
             return DualMorphism(FinSetMorphism(FinSetObject(0), obj, ()))
         cod = FinSetObject(rng.randint(0, limits.max_size))
-        inner = FinSetMorphism(
-            cod, obj, tuple(rng.randbelow(obj.size) for _ in range(cod.size))
-        )
-        return DualMorphism(inner)
+        return DualMorphism(FinSetMorphism(cod, obj, pointmap.random_map(rng, cod.size, obj.size)))
 
 
 class FinVectDualCategory(_DualCategory):
     id = CategoryId.FINVECT_DUAL
-    base = _FINVECT
+    base = FINVECT
 
     def product_object(self, x: VectObject, y: VectObject):
         if x.field != y.field:
@@ -270,6 +237,9 @@ class FinVectDualCategory(_DualCategory):
 
     def terminal_object(self, field=None) -> VectObject:
         return VectObject(0, field if field is not None else GF2)
+
+    def terminal_for(self, limits: Limits) -> VectObject:
+        return self.terminal_object(self.base.limit_field(limits))
 
     def unique_to_terminal(self, obj: VectObject) -> DualMorphism:
         zero_space = VectObject(0, obj.field)
@@ -306,13 +276,10 @@ class FinVectDualCategory(_DualCategory):
         # of the inner f.g.
         return _rank(field, [list(r) for r in concat]) == rank_fg
 
-    def _maps_between(self, dom: VectObject, cod: VectObject, budget) -> Iterator[LinearMorphism]:
+    def _maps_between(self, dom: VectObject, cod: VectObject) -> Iterator[LinearMorphism]:
         field = dom.field
         if not field.char:
             raise SearchBudgetExceeded("rational matrices cannot be enumerated")
-        count = field.char ** (dom.dim * cod.dim)
-        if count > budget:
-            raise SearchBudgetExceeded(f"{count} candidate maps exceed budget {budget}")
         for flat in iter_product(range(field.char), repeat=cod.dim * dom.dim):
             entries = tuple(
                 flat[i * dom.dim:(i + 1) * dom.dim] for i in range(cod.dim)
@@ -320,7 +287,7 @@ class FinVectDualCategory(_DualCategory):
             yield LinearMorphism(dom, cod, entries)
 
     def exhaustive_objects(self, limits: Limits) -> Iterator[VectObject]:
-        field = limits.field if limits.field is not None else self.terminal_object().field
+        field = self.base.limit_field(limits)
         for n in range(0, limits.max_size + 1):
             yield VectObject(n, field)
 

@@ -9,21 +9,26 @@ information between sent and received messages computed from exact
 joint masses.  Internal products here are not guaranteed to exist: the
 canonical pairing is a valid morphism only when the two legs push
 forward independently, and callers receive UNDEFINED otherwise.
+
+Both categories are point maps decorated with weights (and, for the
+noisy variant, a message assignment pi): the carrier arithmetic is
+infocat.pointmap's, and this module adds the weights, the
+measure-preservation test that decides pairings and sections, the
+weight-matching isomorphism search and the measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iter_product
-from typing import Iterator, Sequence
+from itertools import permutations
+from typing import Sequence
 
-from .capacity import blahut_arimoto
+from . import pointmap
 from .config import log
 from .core import (
     UNDEFINED,
     ArrowIso,
-    Category,
     CategoryId,
     IsoWitness,
     Limits,
@@ -40,11 +45,11 @@ from .errors import (
     InvalidObject,
     ObjectMismatch,
     SearchBudgetExceeded,
-    ZeroMassFiber,
 )
 from .exact import LogVal
 from .measures import InfoMeasure, register_measure
 from .noisy import NoisyMorphism
+from .pointmap import PointMapCategory
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,22 +181,6 @@ def continuous_noisy_information_exact(f: NoisyProbMorphism):
     return total
 
 
-def continuous_capacity(f: NoisyProbMorphism, eps: float = 1e-9):
-    """Capacity of the induced conditional law P(b | a) = rho(a,b)/alpha(a),
-    or UNDEFINED when the solver stopped at its iteration cap.  The solver
-    renormalizes raw rows but not a Channel, so this path keeps raw rows
-    and does not share noisy_capacity's cache."""
-    rho = _joint_masses(f)
-    alpha = f.domain.message.weights
-    rows = []
-    for a, row in enumerate(rho):
-        if alpha[a] == 0:
-            raise ZeroMassFiber(f"message {a} has zero mass")
-        rows.append([float(mass / alpha[a]) for mass in row])
-    result = blahut_arimoto(rows, eps=eps)
-    return result.capacity if result.converged else UNDEFINED
-
-
 def from_noisy_finset(f: NoisyMorphism) -> NoisyProbMorphism:
     """Embed a counting-measure system: uniform mass on the noise space,
     all other weights pushed forward."""
@@ -203,66 +192,66 @@ def from_noisy_finset(f: NoisyMorphism) -> NoisyProbMorphism:
     return NoisyProbMorphism(source, target, f.mapping)
 
 
-class FinProbCategory(Category):
-    id = CategoryId.FINPROB
+def _random_space(rng, limits: Limits) -> FinProbObject:
+    size = rng.randint(1, limits.max_size)
+    raw = [rng.randint(1, 8) for _ in range(size)]
+    total = sum(raw)
+    return FinProbObject(size, tuple(Fraction(k, total) for k in raw))
 
-    # -- structure ----------------------------------------------------
-    def compose(self, g: FinProbMorphism, f: FinProbMorphism) -> FinProbMorphism:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("cannot compose: middle spaces differ")
-        return FinProbMorphism(
-            f.domain, g.codomain, tuple(g.mapping[v] for v in f.mapping)
-        )
 
-    def identity(self, obj: FinProbObject) -> FinProbMorphism:
-        return FinProbMorphism(obj, obj, tuple(range(obj.size)))
+class _WeightedPointMaps(PointMapCategory):
+    """What finprob and noisy_finprob add to the point arithmetic: a map
+    must push the source weights onto the target weights, so a pairing
+    or a section is a morphism only where it does, and rational weights
+    have no finite enumeration."""
 
     @staticmethod
-    def _product_space(x: FinProbObject, y: FinProbObject) -> FinProbObject:
-        """The product object alone; the products of morphisms need no
-        projections."""
-        weights = tuple(
-            x.weights[i] * y.weights[j] for i in range(x.size) for j in range(y.size)
-        )
-        return FinProbObject(x.size * y.size, weights)
+    def weights(obj) -> tuple[Fraction, ...]:
+        """Weights of the carrier points of obj."""
+        raise NotImplementedError
 
-    def product_object(self, x: FinProbObject, y: FinProbObject):
-        prod = self._product_space(x, y)
-        size = prod.size
-        p1 = FinProbMorphism(prod, x, tuple(i // y.size for i in range(size)))
-        p2 = FinProbMorphism(prod, y, tuple(i % y.size for i in range(size)))
-        return prod, p1, p2
-
-    def external_product(self, f: FinProbMorphism, g: FinProbMorphism) -> FinProbMorphism:
-        dom = self._product_space(f.domain, g.domain)
-        cod = self._product_space(f.codomain, g.codomain)
-        n2 = g.codomain.size
-        mapping = tuple(
-            f.mapping[i] * n2 + g.mapping[j]
-            for i in range(f.domain.size)
-            for j in range(g.domain.size)
-        )
-        return FinProbMorphism(dom, cod, mapping)
-
-    def internal_product(self, f: FinProbMorphism, g: FinProbMorphism):
-        if f.domain != g.domain:
-            raise DomainMismatch("internal product needs a shared source")
-        cod = self._product_space(f.codomain, g.codomain)
-        n2 = g.codomain.size
-        mapping = tuple(
-            f.mapping[m] * n2 + g.mapping[m] for m in range(f.domain.size)
-        )
+    def pairing(self, domain, codomain, mapping):
         # The pairing is a morphism only when the legs push forward
         # independently; otherwise the product does not exist here.
-        if not check_bmp(mapping, f.domain.weights, cod.weights):
+        if not check_bmp(mapping, self.weights(domain), self.weights(codomain)):
             return UNDEFINED
-        return FinProbMorphism(f.domain, cod, mapping)
+        return self.morphism(domain, codomain, mapping)
+
+    def section_exists(self, f, g) -> bool:
+        if f.codomain != g.domain:
+            raise ObjectMismatch("section test needs composable f then g")
+        mu, nu = self.weights(g.codomain), self.weights(g.domain)
+        return pointmap.find_section(
+            f.mapping, g.mapping, len(nu), len(mu), lambda s: check_bmp(s, mu, nu)
+        )
+
+    def _no_enumeration(self, *args):
+        raise EnumerationBudgetExceeded("rational weights have no finite enumeration")
+
+    exhaustive_objects = exhaustive_morphisms = exhaustive_morphisms_from = _no_enumeration
+
+
+class FinProbCategory(_WeightedPointMaps):
+    id = CategoryId.FINPROB
+    morphism = FinProbMorphism
+
+    @staticmethod
+    def points(obj: FinProbObject) -> int:
+        return obj.size
+
+    @staticmethod
+    def weights(obj: FinProbObject) -> tuple[Fraction, ...]:
+        return obj.weights
+
+    @staticmethod
+    def product_space(x: FinProbObject, y: FinProbObject) -> FinProbObject:
+        return FinProbObject(x.size * y.size, tuple(a * b for a in x.weights for b in y.weights))
+
+    def relabeled(self, rng, obj: FinProbObject, perm) -> FinProbObject:
+        return pushforward(obj, perm, obj.size)
 
     def terminal_object(self) -> FinProbObject:
         return FinProbObject(1, (Fraction(1),))
-
-    def unique_to_terminal(self, obj: FinProbObject) -> FinProbMorphism:
-        return FinProbMorphism(obj, self.terminal_object(), (0,) * obj.size)
 
     # -- isomorphism --------------------------------------------------
     def iso_invariant(self, f: FinProbMorphism):
@@ -293,20 +282,14 @@ class FinProbCategory(Category):
                 if all(
                     tau[f.mapping[i]] == g.mapping[sigma[i]] for i in range(f.domain.size)
                 ):
-                    inv_s = [0] * len(sigma)
-                    for i, v in enumerate(sigma):
-                        inv_s[v] = i
-                    inv_t = [0] * len(tau)
-                    for i, v in enumerate(tau):
-                        inv_t[v] = i
                     return ArrowIso(
                         IsoWitness(
-                            FinProbMorphism(f.domain, g.domain, tuple(sigma)),
-                            FinProbMorphism(g.domain, f.domain, tuple(inv_s)),
+                            FinProbMorphism(f.domain, g.domain, sigma),
+                            FinProbMorphism(g.domain, f.domain, pointmap.invert(sigma)),
                         ),
                         IsoWitness(
-                            FinProbMorphism(f.codomain, g.codomain, tuple(tau)),
-                            FinProbMorphism(g.codomain, f.codomain, tuple(inv_t)),
+                            FinProbMorphism(f.codomain, g.codomain, tau),
+                            FinProbMorphism(g.codomain, f.codomain, pointmap.invert(tau)),
                         ),
                     )
         return None
@@ -321,147 +304,62 @@ class FinProbCategory(Category):
                 return True
         return False
 
-    def random_iso_out(self, rng, obj: FinProbObject) -> IsoWitness:
-        sigma = list(range(obj.size))
-        rng.shuffle(sigma)
-        target = pushforward(obj, sigma, obj.size)
-        inv = [0] * obj.size
-        for i, v in enumerate(sigma):
-            inv[v] = i
-        return IsoWitness(
-            FinProbMorphism(obj, target, tuple(sigma)),
-            FinProbMorphism(target, obj, tuple(inv)),
-        )
-
-    # -- sections -----------------------------------------------------
-    def section_exists(self, f: FinProbMorphism, g: FinProbMorphism) -> bool:
-        return self.section_search(f, g)
-
-    def section_search(self, f: FinProbMorphism, g: FinProbMorphism, budget: int = 1_000_000) -> bool:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("section test needs composable f then g")
-        b, c = g.domain.size, g.codomain.size
-        if b ** c > budget:
-            raise SearchBudgetExceeded(f"{b ** c} candidate sections exceed budget {budget}")
-        gf = tuple(g.mapping[v] for v in f.mapping)
-        for s in iter_product(range(b), repeat=c):
-            if not check_bmp(s, g.codomain.weights, g.domain.weights):
-                continue
-            if all(s[gf[m]] == f.mapping[m] for m in range(len(gf))):
-                return True
-        return False
-
     # -- corpus -------------------------------------------------------
-    def exhaustive_objects(self, limits: Limits) -> Iterator[FinProbObject]:
-        raise EnumerationBudgetExceeded("rational weights have no finite enumeration")
-
-    def exhaustive_morphisms(self, limits: Limits) -> Iterator[FinProbMorphism]:
-        raise EnumerationBudgetExceeded("rational weights have no finite enumeration")
-
-    def exhaustive_morphisms_from(self, obj, limits: Limits) -> Iterator[FinProbMorphism]:
-        raise EnumerationBudgetExceeded("rational weights have no finite enumeration")
-
     def random_object(self, rng, limits: Limits) -> FinProbObject:
-        size = rng.randint(1, limits.max_size)
-        raw = [rng.randint(1, 8) for _ in range(size)]
-        total = sum(raw)
-        return FinProbObject(size, tuple(Fraction(k, total) for k in raw))
-
-    def random_morphism(self, rng, limits: Limits) -> FinProbMorphism:
-        return self.random_morphism_from(rng, self.random_object(rng, limits), limits)
+        return _random_space(rng, limits)
 
     def random_morphism_from(self, rng, obj: FinProbObject, limits: Limits) -> FinProbMorphism:
         size = rng.randint(1, limits.max_size)
-        mapping = tuple(rng.randbelow(size) for _ in range(obj.size))
+        mapping = pointmap.random_map(rng, obj.size, size)
         return FinProbMorphism(obj, pushforward(obj, mapping, size), mapping)
 
     # -- serialization --------------------------------------------------
-    def object_to_json(self, obj: FinProbObject) -> dict:
+    @staticmethod
+    def object_to_json(obj: FinProbObject) -> dict:
         return {"size": obj.size, "weights": [str(w) for w in obj.weights]}
 
-    def object_from_json(self, data: dict) -> FinProbObject:
+    @staticmethod
+    def object_from_json(data: dict) -> FinProbObject:
         return FinProbObject(
             int_from_json(data["size"], "size"), rationals_from_json(data["weights"], "weights")
         )
 
-    def payload_to_json(self, m: FinProbMorphism) -> dict:
-        return {"map": list(m.mapping)}
 
-    def morphism_from_json(self, domain, codomain, payload: dict) -> FinProbMorphism:
-        return FinProbMorphism(domain, codomain, ints_from_json(payload["map"], "map"))
-
-
-class NoisyFinProbCategory(Category):
+class NoisyFinProbCategory(_WeightedPointMaps):
     id = CategoryId.NOISY_FINPROB
+    morphism = NoisyProbMorphism
 
     # Deciding isomorphism of weighted noisy systems needs a search this
     # class does not provide; audits skip the structural iso checks.
     structural_isos = False
 
-    def __init__(self):
-        self._base = FinProbCategory()
+    @staticmethod
+    def points(obj: NoisyProbObject) -> int:
+        return obj.noise.size
 
-    # -- structure ----------------------------------------------------
-    def compose(self, g: NoisyProbMorphism, f: NoisyProbMorphism) -> NoisyProbMorphism:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("cannot compose: middle systems differ")
-        return NoisyProbMorphism(
-            f.domain, g.codomain, tuple(g.mapping[v] for v in f.mapping)
-        )
+    @staticmethod
+    def weights(obj: NoisyProbObject) -> tuple[Fraction, ...]:
+        return obj.noise.weights
 
-    def identity(self, obj: NoisyProbObject) -> NoisyProbMorphism:
-        return NoisyProbMorphism(obj, obj, tuple(range(obj.noise.size)))
-
-    def _product_space(self, x: NoisyProbObject, y: NoisyProbObject) -> NoisyProbObject:
-        """The product object alone; the products of morphisms need no
-        projections."""
-        pi = tuple(
-            x.pi[i] * y.message.size + y.pi[j]
-            for i in range(x.noise.size)
-            for j in range(y.noise.size)
-        )
+    def product_space(self, x: NoisyProbObject, y: NoisyProbObject) -> NoisyProbObject:
         return NoisyProbObject(
-            self._base._product_space(x.noise, y.noise),
-            self._base._product_space(x.message, y.message),
-            pi,
+            FinProbCategory.product_space(x.noise, y.noise),
+            FinProbCategory.product_space(x.message, y.message),
+            pointmap.external(x.pi, y.pi, y.message.size),
         )
 
-    def product_object(self, x: NoisyProbObject, y: NoisyProbObject):
-        prod = self._product_space(x, y)
-        size = prod.noise.size
-        p1 = NoisyProbMorphism(prod, x, tuple(i // y.noise.size for i in range(size)))
-        p2 = NoisyProbMorphism(prod, y, tuple(i % y.noise.size for i in range(size)))
-        return prod, p1, p2
-
-    def external_product(self, f: NoisyProbMorphism, g: NoisyProbMorphism) -> NoisyProbMorphism:
-        dom = self._product_space(f.domain, g.domain)
-        cod = self._product_space(f.codomain, g.codomain)
-        n2 = g.codomain.noise.size
-        mapping = tuple(
-            f.mapping[i] * n2 + g.mapping[j]
-            for i in range(f.domain.noise.size)
-            for j in range(g.domain.noise.size)
+    def relabeled(self, rng, obj: NoisyProbObject, perm) -> NoisyProbObject:
+        # Messages are relabelled too: pi moves to sigma_a . pi . perm^-1.
+        sigma_a = pointmap.random_permutation(rng, obj.message.size)
+        return NoisyProbObject(
+            pushforward(obj.noise, perm, obj.noise.size),
+            pushforward(obj.message, sigma_a, obj.message.size),
+            pointmap.compose(sigma_a, pointmap.compose(obj.pi, pointmap.invert(perm))),
         )
-        return NoisyProbMorphism(dom, cod, mapping)
-
-    def internal_product(self, f: NoisyProbMorphism, g: NoisyProbMorphism):
-        if f.domain != g.domain:
-            raise DomainMismatch("internal product needs a shared source")
-        cod = self._product_space(f.codomain, g.codomain)
-        n2 = g.codomain.noise.size
-        mapping = tuple(
-            f.mapping[m] * n2 + g.mapping[m] for m in range(f.domain.noise.size)
-        )
-        if not check_bmp(mapping, f.domain.noise.weights, cod.noise.weights):
-            return UNDEFINED
-        return NoisyProbMorphism(f.domain, cod, mapping)
 
     def terminal_object(self) -> NoisyProbObject:
         point = FinProbObject(1, (Fraction(1),))
         return NoisyProbObject(point, point, (0,))
-
-    def unique_to_terminal(self, obj: NoisyProbObject) -> NoisyProbMorphism:
-        return NoisyProbMorphism(obj, self.terminal_object(), (0,) * obj.noise.size)
 
     # -- isomorphism --------------------------------------------------
     def iso_invariant(self, f: NoisyProbMorphism):
@@ -473,103 +371,33 @@ class NoisyFinProbCategory(Category):
             canon,
         )
 
-    def random_iso_out(self, rng, obj: NoisyProbObject) -> IsoWitness:
-        sigma_m = list(range(obj.noise.size))
-        rng.shuffle(sigma_m)
-        sigma_a = list(range(obj.message.size))
-        rng.shuffle(sigma_a)
-        noise = pushforward(obj.noise, sigma_m, obj.noise.size)
-        message = pushforward(obj.message, sigma_a, obj.message.size)
-        pi_new = [0] * obj.noise.size
-        for m in range(obj.noise.size):
-            pi_new[sigma_m[m]] = sigma_a[obj.pi[m]]
-        target = NoisyProbObject(noise, message, tuple(pi_new))
-        inv = [0] * obj.noise.size
-        for i, v in enumerate(sigma_m):
-            inv[v] = i
-        return IsoWitness(
-            NoisyProbMorphism(obj, target, tuple(sigma_m)),
-            NoisyProbMorphism(target, obj, tuple(inv)),
-        )
-
-    # -- sections -----------------------------------------------------
-    def section_exists(self, f: NoisyProbMorphism, g: NoisyProbMorphism) -> bool:
-        return self.section_search(f, g)
-
-    def section_search(self, f: NoisyProbMorphism, g: NoisyProbMorphism, budget: int = 1_000_000) -> bool:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("section test needs composable f then g")
-        b, c = g.domain.noise.size, g.codomain.noise.size
-        if b ** c > budget:
-            raise SearchBudgetExceeded(f"{b ** c} candidate sections exceed budget {budget}")
-        gf = tuple(g.mapping[v] for v in f.mapping)
-        for s in iter_product(range(b), repeat=c):
-            if not check_bmp(s, g.codomain.noise.weights, g.domain.noise.weights):
-                continue
-            if all(s[gf[m]] == f.mapping[m] for m in range(len(gf))):
-                return True
-        return False
-
     # -- corpus -------------------------------------------------------
-    def exhaustive_objects(self, limits: Limits):
-        raise EnumerationBudgetExceeded("rational weights have no finite enumeration")
-
-    def exhaustive_morphisms(self, limits: Limits):
-        raise EnumerationBudgetExceeded("rational weights have no finite enumeration")
-
-    def exhaustive_morphisms_from(self, obj, limits: Limits):
-        raise EnumerationBudgetExceeded("rational weights have no finite enumeration")
-
     def random_object(self, rng, limits: Limits) -> NoisyProbObject:
-        noise = self._base.random_object(rng, limits)
-        a = rng.randint(1, noise.size)
-        slots = list(range(noise.size))
-        rng.shuffle(slots)
-        pi = [0] * noise.size
-        for msg in range(a):
-            pi[slots[msg]] = msg
-        for extra in slots[a:]:
-            pi[extra] = rng.randbelow(a)
-        return NoisyProbObject(noise, pushforward(noise, pi, a), tuple(pi))
-
-    def random_morphism(self, rng, limits: Limits) -> NoisyProbMorphism:
-        return self.random_morphism_from(rng, self.random_object(rng, limits), limits)
+        noise = _random_space(rng, limits)
+        a, pi = pointmap.random_pi(rng, noise.size)
+        return NoisyProbObject(noise, pushforward(noise, pi, a), pi)
 
     def random_morphism_from(self, rng, obj: NoisyProbObject, limits: Limits) -> NoisyProbMorphism:
         n = rng.randint(1, limits.max_size)
-        mapping = tuple(rng.randbelow(n) for _ in range(obj.noise.size))
+        mapping = pointmap.random_map(rng, obj.noise.size, n)
         noise = pushforward(obj.noise, mapping, n)
-        b = rng.randint(1, n)
-        slots = list(range(n))
-        rng.shuffle(slots)
-        pi = [0] * n
-        for msg in range(b):
-            pi[slots[msg]] = msg
-        for extra in slots[b:]:
-            pi[extra] = rng.randbelow(b)
-        target = NoisyProbObject(noise, pushforward(noise, pi, b), tuple(pi))
-        return NoisyProbMorphism(obj, target, mapping)
+        b, pi = pointmap.random_pi(rng, n)
+        return NoisyProbMorphism(obj, NoisyProbObject(noise, pushforward(noise, pi, b), pi), mapping)
 
     # -- serialization --------------------------------------------------
     def object_to_json(self, obj: NoisyProbObject) -> dict:
         return {
-            "m": self._base.object_to_json(obj.noise),
-            "a": self._base.object_to_json(obj.message),
+            "m": FinProbCategory.object_to_json(obj.noise),
+            "a": FinProbCategory.object_to_json(obj.message),
             "pi": list(obj.pi),
         }
 
     def object_from_json(self, data: dict) -> NoisyProbObject:
         return NoisyProbObject(
-            self._base.object_from_json(dict_from_json(data["m"], "m", InvalidObject)),
-            self._base.object_from_json(dict_from_json(data["a"], "a", InvalidObject)),
+            FinProbCategory.object_from_json(dict_from_json(data["m"], "m", InvalidObject)),
+            FinProbCategory.object_from_json(dict_from_json(data["a"], "a", InvalidObject)),
             ints_from_json(data["pi"], "pi", InvalidObject),
         )
-
-    def payload_to_json(self, m: NoisyProbMorphism) -> dict:
-        return {"map": list(m.mapping)}
-
-    def morphism_from_json(self, domain, codomain, payload: dict) -> NoisyProbMorphism:
-        return NoisyProbMorphism(domain, codomain, ints_from_json(payload["map"], "map"))
 
 
 FINPROB = register(FinProbCategory())

@@ -1,8 +1,10 @@
 """Finite sets and maps, with the entropy measures defined on them.
 
-Objects are {0, ..., n-1}; a morphism stores its image list.  Product
-objects use row-major pairing, (i, j) -> i*|B| + j, which keeps products
-with a one-point object literally equal to the original morphism.
+Objects are {0, ..., n-1}; a morphism stores its image list.  The
+undecorated point-map category: composition, the row-major products,
+sections and random generation are infocat.pointmap's, and this module
+adds the fiber-based invariants, the isomorphism search and the
+measures.
 
 The measures: hartley is log of the image size, shannon is the entropy
 of the fiber-size distribution of the map (source points weighted
@@ -16,31 +18,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 from typing import Iterator
 
-from . import config
-from .core import (
-    ArrowIso,
-    CategoryId,
-    Category,
-    IsoWitness,
-    Limits,
-    int_from_json,
-    ints_from_json,
-    register,
-)
+from . import config, pointmap
+from .core import ArrowIso, CategoryId, IsoWitness, Limits, int_from_json, register
 from .errors import (
     DomainMismatch,
     EmptyDomain,
     InvalidMorphism,
     InvalidObject,
     NegativeCoefficient,
-    ObjectMismatch,
-    SearchBudgetExceeded,
 )
 from .exact import LogVal
 from .measures import InfoMeasure, register_factory, register_measure
+from .pointmap import PointMapCategory
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,36 +146,6 @@ def shannon_exact(m: FinSetMorphism) -> LogVal:
     return _shannon_exact_of(fiber_sizes(m), n)
 
 
-def section_exists(f: FinSetMorphism, g: FinSetMorphism) -> bool:
-    """Whether some s: C -> B satisfies s . g . f == f.
-
-    Such a section exists exactly when g is injective on the image of f;
-    any merge of two distinct image points is unrecoverable.
-    """
-    if f.codomain != g.domain:
-        raise ObjectMismatch("section test needs composable f then g")
-    seen: dict[int, int] = {}
-    for b in set(f.mapping):
-        c = g.mapping[b]
-        if seen.setdefault(c, b) != b:
-            return False
-    return True
-
-
-def section_search(f: FinSetMorphism, g: FinSetMorphism, budget: int = 1_000_000) -> bool:
-    """Exhaustive search over all candidate sections (oracle cross-check)."""
-    if f.codomain != g.domain:
-        raise ObjectMismatch("section test needs composable f then g")
-    b, c = g.domain.size, g.codomain.size
-    if b ** c > budget:
-        raise SearchBudgetExceeded(f"{b}^{c} candidate sections exceed budget {budget}")
-    gf = tuple(g.mapping[v] for v in f.mapping)
-    for s in iter_product(range(b), repeat=c):
-        if all(s[w] == v for w, v in zip(gf, f.mapping)):
-            return True
-    return False
-
-
 def _kernel_signature(mapping: tuple[int, ...]) -> tuple[int, ...]:
     # First-occurrence renumbering; equal signatures == equal fiber partitions.
     relabel: dict[int, int] = {}
@@ -194,62 +155,22 @@ def _kernel_signature(mapping: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _all_mappings(dom: int, cod: int) -> Iterator[tuple[int, ...]]:
-    if dom == 0:
-        yield ()
-        return
-    if cod == 0:
-        return
-    yield from iter_product(range(cod), repeat=dom)
-
-
-class FinSetCategory(Category):
+class FinSetCategory(PointMapCategory):
     id = CategoryId.FINSET
+    morphism = FinSetMorphism
 
-    # -- structure ----------------------------------------------------
-    def compose(self, g: FinSetMorphism, f: FinSetMorphism) -> FinSetMorphism:
-        if f.codomain != g.domain:
-            raise ObjectMismatch(
-                f"cannot compose: middle objects {f.codomain} != {g.domain}"
-            )
-        return FinSetMorphism(f.domain, g.codomain, tuple(g.mapping[v] for v in f.mapping))
+    @staticmethod
+    def points(obj: FinSetObject) -> int:
+        return obj.size
 
-    def identity(self, obj: FinSetObject) -> FinSetMorphism:
-        return FinSetMorphism(obj, obj, tuple(range(obj.size)))
+    def product_space(self, a: FinSetObject, b: FinSetObject) -> FinSetObject:
+        return FinSetObject(a.size * b.size)
 
-    def product_object(self, a: FinSetObject, b: FinSetObject):
-        prod = FinSetObject(a.size * b.size)
-        p1 = FinSetMorphism(prod, a, tuple(i // b.size for i in range(prod.size)))
-        p2 = FinSetMorphism(prod, b, tuple(i % b.size for i in range(prod.size)))
-        return prod, p1, p2
-
-    def external_product(self, f: FinSetMorphism, g: FinSetMorphism) -> FinSetMorphism:
-        a1, a2 = f.domain.size, g.domain.size
-        b2 = g.codomain.size
-        mapping = tuple(
-            f.mapping[i] * b2 + g.mapping[j] for i in range(a1) for j in range(a2)
-        )
-        return FinSetMorphism(
-            FinSetObject(a1 * a2),
-            FinSetObject(f.codomain.size * b2),
-            mapping,
-        )
-
-    def internal_product(self, f: FinSetMorphism, g: FinSetMorphism) -> FinSetMorphism:
-        if f.domain != g.domain:
-            raise DomainMismatch("internal product needs a shared source")
-        b2 = g.codomain.size
-        return FinSetMorphism(
-            f.domain,
-            FinSetObject(f.codomain.size * b2),
-            tuple(fv * b2 + gv for fv, gv in zip(f.mapping, g.mapping)),
-        )
+    def relabeled(self, rng, obj: FinSetObject, perm) -> FinSetObject:
+        return obj
 
     def terminal_object(self) -> FinSetObject:
         return FinSetObject(1)
-
-    def unique_to_terminal(self, obj: FinSetObject) -> FinSetMorphism:
-        return FinSetMorphism(obj, FinSetObject(1), (0,) * obj.size)
 
     # -- isomorphism --------------------------------------------------
     def iso_invariant(self, f: FinSetMorphism):
@@ -272,13 +193,18 @@ class FinSetCategory(Category):
         for i, v in enumerate(beta):
             if v < 0:
                 beta[i] = next(spare)
-        alpha_m = FinSetMorphism(f.domain, g.domain, tuple(alpha))
-        beta_m = FinSetMorphism(f.codomain, g.codomain, tuple(beta))
-        if self.compose(g, alpha_m).mapping != self.compose(beta_m, f).mapping:
+        alpha, beta = tuple(alpha), tuple(beta)
+        if pointmap.compose(g.mapping, alpha) != pointmap.compose(beta, f.mapping):
             raise AssertionError("arrow_iso built a square that does not commute")
         return ArrowIso(
-            IsoWitness(alpha_m, self._invert(alpha_m)),
-            IsoWitness(beta_m, self._invert(beta_m)),
+            IsoWitness(
+                FinSetMorphism(f.domain, g.domain, alpha),
+                FinSetMorphism(g.domain, f.domain, pointmap.invert(alpha)),
+            ),
+            IsoWitness(
+                FinSetMorphism(f.codomain, g.codomain, beta),
+                FinSetMorphism(g.codomain, f.codomain, pointmap.invert(beta)),
+            ),
         )
 
     @staticmethod
@@ -288,13 +214,6 @@ class FinSetCategory(Category):
             groups.setdefault(v, []).append(i)
         return sorted(groups.items(), key=lambda kv: (len(kv[1]), kv[0]))
 
-    @staticmethod
-    def _invert(m: FinSetMorphism) -> FinSetMorphism:
-        inv = [0] * m.codomain.size
-        for i, v in enumerate(m.mapping):
-            inv[v] = i
-        return FinSetMorphism(m.codomain, m.domain, tuple(inv))
-
     def coslice_iso(self, p: FinSetMorphism, q: FinSetMorphism, budget: int = 100_000) -> bool:
         if p.domain != q.domain:
             raise DomainMismatch("coslice comparison needs a shared source")
@@ -303,19 +222,6 @@ class FinSetCategory(Category):
             and _kernel_signature(p.mapping) == _kernel_signature(q.mapping)
         )
 
-    def random_iso_out(self, rng, obj: FinSetObject) -> IsoWitness:
-        perm = list(range(obj.size))
-        rng.shuffle(perm)
-        fwd = FinSetMorphism(obj, obj, tuple(perm))
-        return IsoWitness(fwd, self._invert(fwd))
-
-    # -- sections -----------------------------------------------------
-    def section_exists(self, f, g) -> bool:
-        return section_exists(f, g)
-
-    def section_search(self, f, g, budget: int = 1_000_000) -> bool:
-        return section_search(f, g, budget)
-
     # -- corpus -------------------------------------------------------
     def exhaustive_objects(self, limits: Limits) -> Iterator[FinSetObject]:
         for n in range(1, limits.max_size + 1):
@@ -323,26 +229,20 @@ class FinSetCategory(Category):
 
     def exhaustive_morphisms(self, limits: Limits) -> Iterator[FinSetMorphism]:
         for a in range(1, limits.max_size + 1):
-            for b in range(1, limits.max_size + 1):
-                dom, cod = FinSetObject(a), FinSetObject(b)
-                for mapping in _all_mappings(a, b):
-                    yield FinSetMorphism(dom, cod, mapping)
+            yield from self.exhaustive_morphisms_from(FinSetObject(a), limits)
 
     def exhaustive_morphisms_from(self, obj: FinSetObject, limits: Limits) -> Iterator[FinSetMorphism]:
         for b in range(1, limits.max_size + 1):
             cod = FinSetObject(b)
-            for mapping in _all_mappings(obj.size, b):
+            for mapping in pointmap.maps(obj.size, b):
                 yield FinSetMorphism(obj, cod, mapping)
 
     def random_object(self, rng, limits: Limits) -> FinSetObject:
         return FinSetObject(rng.randint(1, limits.max_size))
 
-    def random_morphism(self, rng, limits: Limits) -> FinSetMorphism:
-        return self.random_morphism_from(rng, self.random_object(rng, limits), limits)
-
     def random_morphism_from(self, rng, obj: FinSetObject, limits: Limits) -> FinSetMorphism:
         b = rng.randint(1, limits.max_size)
-        return FinSetMorphism(obj, FinSetObject(b), tuple(rng.randbelow(b) for _ in range(obj.size)))
+        return FinSetMorphism(obj, FinSetObject(b), pointmap.random_map(rng, obj.size, b))
 
     # -- serialization --------------------------------------------------
     def object_to_json(self, obj: FinSetObject) -> dict:
@@ -350,12 +250,6 @@ class FinSetCategory(Category):
 
     def object_from_json(self, data: dict) -> FinSetObject:
         return FinSetObject(int_from_json(data["size"], "size"))
-
-    def payload_to_json(self, m: FinSetMorphism) -> dict:
-        return {"map": list(m.mapping)}
-
-    def morphism_from_json(self, domain, codomain, payload: dict) -> FinSetMorphism:
-        return FinSetMorphism(domain, codomain, ints_from_json(payload["map"], "map"))
 
 
 FINSET = register(FinSetCategory())

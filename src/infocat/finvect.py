@@ -32,7 +32,6 @@ from .errors import (
     InvalidMorphism,
     InvalidObject,
     ObjectMismatch,
-    SearchBudgetExceeded,
 )
 from .exact import LogVal
 from .measures import InfoMeasure, register_measure
@@ -64,9 +63,6 @@ class FieldSpec:
         if self.char:
             return (a * pow(b, self.char - 2, self.char)) % self.char
         return a / b
-
-    def neg(self, a):
-        return (-a) % self.char if self.char else -a
 
     def element(self, raw):
         """Normalize and validate one scalar."""
@@ -358,6 +354,9 @@ class FinVectCategory(Category):
     def terminal_object(self, field: FieldSpec = GF2) -> VectObject:
         return VectObject(0, field)
 
+    def terminal_for(self, limits: Limits) -> VectObject:
+        return self.terminal_object(self.limit_field(limits))
+
     def unique_to_terminal(self, obj: VectObject) -> LinearMorphism:
         return LinearMorphism(obj, VectObject(0, obj.field), ())
 
@@ -408,33 +407,18 @@ class FinVectCategory(Category):
     def section_exists(self, f, g) -> bool:
         return section_exists_linear(f, g)
 
-    def section_search(self, f, g, budget: int = 1_000_000) -> bool:
-        field = f.field
-        if not field.char:
-            raise SearchBudgetExceeded("rational section space is infinite")
-        b, c = g.domain.dim, g.codomain.dim
-        count = field.char ** (b * c)
-        if count > budget:
-            raise SearchBudgetExceeded(f"{count} candidate sections exceed budget {budget}")
-        gf_rows = _matmul(field, g.entries, f.entries, f.domain.dim)
-        for flat in iter_product(range(field.char), repeat=b * c):
-            rows = tuple(flat[i * c:(i + 1) * c] for i in range(b))
-            if _matmul(field, rows, gf_rows, f.domain.dim) == f.entries:
-                return True
-        return False
-
     # -- corpus -------------------------------------------------------
     @staticmethod
-    def _limit_field(limits: Limits) -> FieldSpec:
+    def limit_field(limits: Limits) -> FieldSpec:
         return limits.field if limits.field is not None else GF2
 
     def exhaustive_objects(self, limits: Limits) -> Iterator[VectObject]:
-        field = self._limit_field(limits)
+        field = self.limit_field(limits)
         for n in range(0, limits.max_size + 1):
             yield VectObject(n, field)
 
     def exhaustive_morphisms(self, limits: Limits) -> Iterator[LinearMorphism]:
-        field = self._limit_field(limits)
+        field = self.limit_field(limits)
         if not field.char:
             raise EnumerationBudgetExceeded("rational matrices cannot be enumerated")
         for cols in range(0, limits.max_size + 1):
@@ -462,7 +446,7 @@ class FinVectCategory(Category):
         return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
 
     def random_object(self, rng, limits: Limits) -> VectObject:
-        return VectObject(rng.randint(0, limits.max_size), self._limit_field(limits))
+        return VectObject(rng.randint(0, limits.max_size), self.limit_field(limits))
 
     def random_morphism(self, rng, limits: Limits) -> LinearMorphism:
         return self.random_morphism_from(rng, self.random_object(rng, limits), limits)

@@ -2,7 +2,7 @@
 
 A morphism travels as {"category", "domain", "codomain", "payload"};
 the payload shape is category-specific and documented by each category
-module.  Channels travel as {"matrix": [[...], ...]}.  Serialization is
+module.  Channels arrive as {"matrix": [[...], ...]} of JSON numbers.  Serialization is
 deterministic: sorted keys, two-space indent, shortest round-trip
 floats (Python's repr), so identical values produce identical bytes.
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 
 from .capacity import Channel
-from .core import CategoryId, category, dict_from_json
-from .errors import InvalidMorphism
+from .core import CategoryId, category, dict_from_json, floats_from_json
+from .errors import InvalidChannel, InvalidMorphism
 
 
 def morphism_to_json(f) -> dict:
@@ -45,16 +45,14 @@ def morphism_from_json(data: dict):
         raise InvalidMorphism(f"missing morphism field: {exc}") from exc
 
 
-def channel_to_json(ch: Channel) -> dict:
-    return {"matrix": [list(row) for row in ch.matrix]}
-
-
 def channel_from_json(data: dict) -> Channel:
     try:
-        matrix = data["matrix"]
+        matrix = dict_from_json(data, "channel", InvalidChannel)["matrix"]
     except KeyError as exc:
         raise InvalidMorphism("channel JSON needs a 'matrix' field") from exc
-    return Channel(tuple(tuple(float(v) for v in row) for row in matrix))
+    if not isinstance(matrix, list):
+        raise InvalidChannel(f"matrix must be a list of rows, not {matrix!r}")
+    return Channel(tuple(floats_from_json(row, "matrix row", InvalidChannel) for row in matrix))
 
 
 def dumps(payload) -> str:

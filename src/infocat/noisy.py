@@ -6,7 +6,10 @@ compatibility demanded between the two message assignments.  Under the
 uniform distribution on M the morphism induces a joint law on message
 pairs (sent, received); its mutual information is the measure of record
 here, and the induced conditional law P(received | sent) feeds the
-capacity solver.
+capacity solver.  The point arithmetic on noise spaces (composition,
+the row-major products, sections, random maps and the random surjective
+pi) is infocat.pointmap's; this module adds the objects, the
+pi-compatible isomorphism search and the measures.
 
 A separately published closed form for that mutual information is also
 evaluated (closed_form_ni); it disagrees with the definition on easy
@@ -30,12 +33,12 @@ from functools import lru_cache
 from itertools import permutations, product as iter_product
 from typing import Iterator
 
+from . import pointmap
 from .capacity import CapacityResult, Channel, blahut_arimoto
 from .config import log
 from .core import (
     UNDEFINED,
     ArrowIso,
-    Category,
     CategoryId,
     IsoWitness,
     Limits,
@@ -43,15 +46,10 @@ from .core import (
     ints_from_json,
     register,
 )
-from .errors import (
-    DomainMismatch,
-    InvalidMorphism,
-    InvalidObject,
-    ObjectMismatch,
-    SearchBudgetExceeded,
-)
+from .errors import DomainMismatch, InvalidMorphism, InvalidObject, SearchBudgetExceeded
 from .exact import LogVal
 from .measures import InfoMeasure, register_measure
+from .pointmap import PointMapCategory
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,66 +230,34 @@ def _pi_compatible_bijections(x: NoisyObject, y: NoisyObject, budget: int):
             yield tuple(sigma_m), sigma_a
 
 
-class NoisyFinSetCategory(Category):
+class NoisyFinSetCategory(PointMapCategory):
     """Isomorphisms here are taken to be structure-preserving pairs of
     bijections (one on the noise space, one on the messages, commuting
     with pi).  Bare bijections of noise spaces would identify systems
     with unrelated message assignments, making every measure that reads
-    pi ill-defined on the resulting classes."""
+    pi ill-defined on the resulting classes.  Sections are unconstrained
+    top maps, so the plain point-map criterion decides them."""
 
     id = CategoryId.NOISY_FINSET
-
-    # -- structure ----------------------------------------------------
-    def compose(self, g: NoisyMorphism, f: NoisyMorphism) -> NoisyMorphism:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("cannot compose: middle systems differ")
-        return NoisyMorphism(f.domain, g.codomain, tuple(g.mapping[v] for v in f.mapping))
-
-    def identity(self, obj: NoisyObject) -> NoisyMorphism:
-        return NoisyMorphism(obj, obj, tuple(range(obj.m_size)))
+    morphism = NoisyMorphism
 
     @staticmethod
-    def _product_space(x: NoisyObject, y: NoisyObject) -> NoisyObject:
-        """The product object alone; the products of morphisms need no
-        projections."""
-        pi = tuple(
-            x.pi[i] * y.a_size + y.pi[j] for i in range(x.m_size) for j in range(y.m_size)
-        )
-        return NoisyObject(x.m_size * y.m_size, x.a_size * y.a_size, pi)
+    def points(obj: NoisyObject) -> int:
+        return obj.m_size
 
-    def product_object(self, x: NoisyObject, y: NoisyObject):
-        prod = self._product_space(x, y)
-        m = prod.m_size
-        p1 = NoisyMorphism(prod, x, tuple(i // y.m_size for i in range(m)))
-        p2 = NoisyMorphism(prod, y, tuple(i % y.m_size for i in range(m)))
-        return prod, p1, p2
-
-    def external_product(self, f: NoisyMorphism, g: NoisyMorphism) -> NoisyMorphism:
-        dom = self._product_space(f.domain, g.domain)
-        cod = self._product_space(f.codomain, g.codomain)
-        n2 = g.codomain.m_size
-        mapping = tuple(
-            f.mapping[i] * n2 + g.mapping[j]
-            for i in range(f.domain.m_size)
-            for j in range(g.domain.m_size)
+    def product_space(self, x: NoisyObject, y: NoisyObject) -> NoisyObject:
+        return NoisyObject(
+            x.m_size * y.m_size, x.a_size * y.a_size, pointmap.external(x.pi, y.pi, y.a_size)
         )
-        return NoisyMorphism(dom, cod, mapping)
 
-    def internal_product(self, f: NoisyMorphism, g: NoisyMorphism) -> NoisyMorphism:
-        if f.domain != g.domain:
-            raise DomainMismatch("internal product needs a shared source")
-        cod = self._product_space(f.codomain, g.codomain)
-        n2 = g.codomain.m_size
-        mapping = tuple(
-            f.mapping[m] * n2 + g.mapping[m] for m in range(f.domain.m_size)
-        )
-        return NoisyMorphism(f.domain, cod, mapping)
+    def relabeled(self, rng, obj: NoisyObject, perm) -> NoisyObject:
+        # Messages are relabelled too: pi moves to sigma_a . pi . perm^-1.
+        sigma_a = pointmap.random_permutation(rng, obj.a_size)
+        pi = pointmap.compose(sigma_a, pointmap.compose(obj.pi, pointmap.invert(perm)))
+        return NoisyObject(obj.m_size, obj.a_size, pi)
 
     def terminal_object(self) -> NoisyObject:
         return NoisyObject(1, 1, (0,))
-
-    def unique_to_terminal(self, obj: NoisyObject) -> NoisyMorphism:
-        return NoisyMorphism(obj, self.terminal_object(), (0,) * obj.m_size)
 
     # -- isomorphism --------------------------------------------------
     @staticmethod
@@ -329,17 +295,15 @@ class NoisyFinSetCategory(Category):
                 continue
             for tau_m, _ in _pi_compatible_bijections(f.codomain, g.codomain, budget):
                 if all(tau_m[n] == want[n] for n in want):
-                    alpha = NoisyMorphism(f.domain, g.domain, tuple(sig_m))
-                    beta = NoisyMorphism(f.codomain, g.codomain, tuple(tau_m))
-                    inv_a = [0] * len(sig_m)
-                    for i, v in enumerate(sig_m):
-                        inv_a[v] = i
-                    inv_b = [0] * len(tau_m)
-                    for i, v in enumerate(tau_m):
-                        inv_b[v] = i
                     return ArrowIso(
-                        IsoWitness(alpha, NoisyMorphism(g.domain, f.domain, tuple(inv_a))),
-                        IsoWitness(beta, NoisyMorphism(g.codomain, f.codomain, tuple(inv_b))),
+                        IsoWitness(
+                            NoisyMorphism(f.domain, g.domain, sig_m),
+                            NoisyMorphism(g.domain, f.domain, pointmap.invert(sig_m)),
+                        ),
+                        IsoWitness(
+                            NoisyMorphism(f.codomain, g.codomain, tau_m),
+                            NoisyMorphism(g.codomain, f.codomain, pointmap.invert(tau_m)),
+                        ),
                     )
         return None
 
@@ -355,52 +319,11 @@ class NoisyFinSetCategory(Category):
                 return True
         return False
 
-    def random_iso_out(self, rng, obj: NoisyObject) -> IsoWitness:
-        sigma_m = list(range(obj.m_size))
-        rng.shuffle(sigma_m)
-        sigma_a = list(range(obj.a_size))
-        rng.shuffle(sigma_a)
-        pi_new = [0] * obj.m_size
-        for m in range(obj.m_size):
-            pi_new[sigma_m[m]] = sigma_a[obj.pi[m]]
-        target = NoisyObject(obj.m_size, obj.a_size, tuple(pi_new))
-        inv = [0] * obj.m_size
-        for i, v in enumerate(sigma_m):
-            inv[v] = i
-        return IsoWitness(
-            NoisyMorphism(obj, target, tuple(sigma_m)),
-            NoisyMorphism(target, obj, tuple(inv)),
-        )
-
-    # -- sections -----------------------------------------------------
-    def section_exists(self, f: NoisyMorphism, g: NoisyMorphism) -> bool:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("section test needs composable f then g")
-        # Sections are unconstrained top maps, so the criterion is the
-        # plain one: g must not merge any two points of the image of f.
-        seen: dict[int, int] = {}
-        for v in f.mapping:
-            if seen.setdefault(g.mapping[v], v) != v:
-                return False
-        return True
-
-    def section_search(self, f: NoisyMorphism, g: NoisyMorphism, budget: int = 1_000_000) -> bool:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("section test needs composable f then g")
-        b, c = g.domain.m_size, g.codomain.m_size
-        if b ** c > budget:
-            raise SearchBudgetExceeded(f"{b ** c} candidate sections exceed budget {budget}")
-        gf = tuple(g.mapping[v] for v in f.mapping)
-        for s in iter_product(range(b), repeat=c):
-            if all(s[gf[m]] == f.mapping[m] for m in range(len(gf))):
-                return True
-        return False
-
     # -- corpus -------------------------------------------------------
     def exhaustive_objects(self, limits: Limits) -> Iterator[NoisyObject]:
         for m in range(1, limits.max_size + 1):
             for a in range(1, m + 1):
-                for pi in iter_product(range(a), repeat=m):
+                for pi in pointmap.maps(m, a):
                     if len(set(pi)) == a:
                         yield NoisyObject(m, a, pi)
 
@@ -408,32 +331,20 @@ class NoisyFinSetCategory(Category):
         objects = list(self.exhaustive_objects(limits))
         for dom in objects:
             for cod in objects:
-                for mapping in iter_product(range(cod.m_size), repeat=dom.m_size):
+                for mapping in pointmap.maps(dom.m_size, cod.m_size):
                     if limits.measure_compatible and not equal_fibers(mapping, cod.m_size):
                         continue
                     yield NoisyMorphism(dom, cod, mapping)
 
     def exhaustive_morphisms_from(self, obj: NoisyObject, limits: Limits) -> Iterator[NoisyMorphism]:
         for cod in self.exhaustive_objects(limits):
-            for mapping in iter_product(range(cod.m_size), repeat=obj.m_size):
+            for mapping in pointmap.maps(obj.m_size, cod.m_size):
                 if limits.measure_compatible and not equal_fibers(mapping, cod.m_size):
                     continue
                 yield NoisyMorphism(obj, cod, mapping)
 
     def random_object(self, rng, limits: Limits) -> NoisyObject:
-        m = rng.randint(1, limits.max_size)
-        a = rng.randint(1, m)
-        slots = list(range(m))
-        rng.shuffle(slots)
-        pi = [0] * m
-        for msg in range(a):
-            pi[slots[msg]] = msg
-        for extra in slots[a:]:
-            pi[extra] = rng.randbelow(a)
-        return NoisyObject(m, a, tuple(pi))
-
-    def random_morphism(self, rng, limits: Limits) -> NoisyMorphism:
-        return self.random_morphism_from(rng, self.random_object(rng, limits), limits)
+        return self._random_object_of_size(rng, rng.randint(1, limits.max_size))
 
     def random_morphism_from(self, rng, obj: NoisyObject, limits: Limits) -> NoisyMorphism:
         if limits.measure_compatible:
@@ -441,26 +352,18 @@ class NoisyFinSetCategory(Category):
             n = divisors[rng.randbelow(len(divisors))]
             cod = self._random_object_of_size(rng, n)
             block = obj.m_size // n
-            slots = list(range(obj.m_size))
-            rng.shuffle(slots)
+            slots = pointmap.random_permutation(rng, obj.m_size)
             mapping = [0] * obj.m_size
             for i, slot in enumerate(slots):
                 mapping[slot] = i // block
             return NoisyMorphism(obj, cod, tuple(mapping))
         cod = self.random_object(rng, limits)
-        mapping = tuple(rng.randbelow(cod.m_size) for _ in range(obj.m_size))
-        return NoisyMorphism(obj, cod, mapping)
+        return NoisyMorphism(obj, cod, pointmap.random_map(rng, obj.m_size, cod.m_size))
 
-    def _random_object_of_size(self, rng, m: int) -> NoisyObject:
-        a = rng.randint(1, m)
-        slots = list(range(m))
-        rng.shuffle(slots)
-        pi = [0] * m
-        for msg in range(a):
-            pi[slots[msg]] = msg
-        for extra in slots[a:]:
-            pi[extra] = rng.randbelow(a)
-        return NoisyObject(m, a, tuple(pi))
+    @staticmethod
+    def _random_object_of_size(rng, m: int) -> NoisyObject:
+        a, pi = pointmap.random_pi(rng, m)
+        return NoisyObject(m, a, pi)
 
     # -- serialization --------------------------------------------------
     def object_to_json(self, obj: NoisyObject) -> dict:
@@ -472,12 +375,6 @@ class NoisyFinSetCategory(Category):
             int_from_json(data["a"], "a"),
             ints_from_json(data["pi"], "pi", InvalidObject),
         )
-
-    def payload_to_json(self, m: NoisyMorphism) -> dict:
-        return {"map": list(m.mapping)}
-
-    def morphism_from_json(self, domain, codomain, payload: dict) -> NoisyMorphism:
-        return NoisyMorphism(domain, codomain, ints_from_json(payload["map"], "map"))
 
 
 NOISY_FINSET = register(NoisyFinSetCategory())

@@ -61,9 +61,6 @@ class SplitMix64:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        return items[self.randbelow(len(items))]
-
 
 def trial_rng(seed: int, check: str, trial_index: int) -> SplitMix64:
     """Independent stream for one audit trial; the replay entry point."""

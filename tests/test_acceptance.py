@@ -38,7 +38,6 @@ from infocat.finset import (
     Limits,
     finset_morphism,
     hartley_exact,
-    section_exists,
     shannon_exact,
 )
 from infocat.finvect import (
@@ -263,7 +262,7 @@ def test_criterion_03_sections_characterize_equality():
                 all(s[gf.mapping[x]] == f.mapping[x] for x in range(f.domain.size))
                 for s in itertools.product(range(f.codomain.size), repeat=g.codomain.size)
             )
-            assert section_exists(f, g) == found
+            assert SET_OPS.section_exists(f, g) == found
             assert (shannon_exact(gf) == shannon_exact(f)) == found
             assert (hartley_exact(gf) == hartley_exact(f)) == found
             pairs += 1

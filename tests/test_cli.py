@@ -166,6 +166,15 @@ class TestReplay:
         assert code == 2
         assert "not a valid audit report" in err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"schema": "infocat-report/1", "config": []}'])
+    def test_non_object_report_is_input_error(self, capsys, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "replay", "--report", str(path), "--index", "0")
+        assert code == 2
+        assert "not a valid audit report" in err
+        assert "must be a JSON object" in err
+
     def test_malformed_json_names_position(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -385,6 +394,51 @@ class TestCapacity:
         code, _, err = run(capsys, "capacity", "--channel", str(path))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"matrix": [["x", "1"]]}', "matrix row entry must be a number, not 'x'"),
+            ('{"matrix": [["0.5", "0.5"]]}', "matrix row entry must be a number, not '0.5'"),
+            ('{"matrix": [[true, false]]}', "matrix row entry must be a number, not True"),
+            ('{"matrix": [[1, 1e999999999999999]]}', "row 0 contains a non-finite entry"),
+            pytest.param(
+                '{"matrix": [[1, ' + "9" * 400 + ']]}', "matrix row entry is out of float range",
+                id="400-digit-int",
+            ),
+            ('{"matrix": [[NaN, 1]]}', "row 0 contains a non-finite entry"),
+            ('{"matrix": [[Infinity, 0]]}', "row 0 contains a non-finite entry"),
+            ('{"matrix": 5}', "matrix must be a list of rows, not 5"),
+            ('{"matrix": [0.5, 0.5]}', "matrix row must be a list of numbers, not 0.5"),
+            ('[[1.0, 0.0]]', "channel must be a JSON object, not list"),
+            ('{"rows": [[1.0]]}', "channel JSON needs a 'matrix' field"),
+        ],
+    )
+    def test_malformed_channel_is_input_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "ch.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "capacity", "--channel", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--epsilon", "-1", "--epsilon must be a finite number above 0"),
+            ("--epsilon", "0", "--epsilon must be a finite number above 0"),
+            ("--epsilon", "nan", "--epsilon must be a finite number above 0"),
+            ("--epsilon", "inf", "--epsilon must be a finite number above 0"),
+            ("--max-iters", "0", "--max-iters must be at least 1"),
+        ],
+    )
+    def test_solver_settings_are_checked(self, capsys, tmp_path, flag, value, message):
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 1.0]]}))
+        code, out, err = run(capsys, "capacity", "--channel", str(path), flag, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestParser:

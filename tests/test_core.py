@@ -10,7 +10,7 @@ import pytest
 
 import infocat
 from infocat import CategoryId, UNDEFINED, category, is_undefined, log_base
-from infocat.core import UndefinedType, is_arrow_isomorphic
+from infocat.core import UndefinedType
 from infocat.errors import CategoryMismatch, ObjectMismatch, UnknownMeasure
 from infocat.finset import FinSetObject, finset_morphism
 from infocat.finvect import GF2, linear_morphism
@@ -67,6 +67,16 @@ class TestDispatch:
         assert bang.codomain == term
         assert set(bang.mapping) == {0}
 
+    def test_terminal_for_limits(self):
+        from infocat.finvect import GF3, VectObject
+
+        for cid in CategoryId:
+            ops = category(cid)
+            assert ops.terminal_for(infocat.Limits(2)) == ops.terminal_object()
+        for cid in (CategoryId.FINVECT, CategoryId.FINVECT_DUAL):
+            term = category(cid).terminal_for(infocat.Limits(2, field=GF3))
+            assert term == VectObject(0, GF3)
+
     def test_products_round_trip_through_projections(self):
         ops = category("finset")
         a, b = FinSetObject(2), FinSetObject(3)
@@ -81,6 +91,16 @@ class TestDispatch:
         g = finset_morphism((0, 1, 2), 3)
         with pytest.raises(ObjectMismatch):
             infocat.internal_product(f, g)
+
+
+def is_arrow_isomorphic(f, g):
+    """Reference decision of f ~ g in the arrow category: the complete
+    invariant where the category has one, else the witness search."""
+    ops = category(f.category)
+    inv = ops.iso_invariant(f)
+    if inv is not None:
+        return inv == ops.iso_invariant(g)
+    return ops.arrow_iso(f, g) is not None
 
 
 class TestArrowIso:

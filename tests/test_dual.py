@@ -19,6 +19,16 @@ def dual_of(mapping, codomain_size):
     return DualMorphism(finset_morphism(mapping, codomain_size))
 
 
+def section_search(ops, f, g):
+    """Brute-force reference for section_exists: a section s*: C -> B is
+    an inner map s: B -> C with f.inner . g.inner . s == f.inner."""
+    fg = ops.base.compose(f.inner, g.inner)
+    return any(
+        ops.base.compose(fg, s) == f.inner
+        for s in ops._maps_between(f.inner.domain, g.inner.domain)
+    )
+
+
 class TestWrapping:
     def test_endpoints_swap(self):
         inner = finset_morphism((0, 1, 0), 2)
@@ -119,7 +129,7 @@ class TestSections:
         checked = 0
         for f in corpus:
             for g in by_dom.get(f.codomain, []):
-                assert SDUAL.section_exists(f, g) == SDUAL.section_search(f, g)
+                assert SDUAL.section_exists(f, g) == section_search(SDUAL, f, g)
                 checked += 1
         assert checked > 500
 
@@ -131,7 +141,7 @@ class TestSections:
         checked = 0
         for f in corpus:
             for g in by_dom.get(f.codomain, []):
-                assert VDUAL.section_exists(f, g) == VDUAL.section_search(f, g)
+                assert VDUAL.section_exists(f, g) == section_search(VDUAL, f, g)
                 checked += 1
         assert checked > 50
 

@@ -19,7 +19,6 @@ from infocat.finprob import (
     NoisyProbMorphism,
     NoisyProbObject,
     check_bmp,
-    continuous_capacity,
     continuous_noisy_information,
     continuous_noisy_information_exact,
     from_noisy_finset,
@@ -27,6 +26,7 @@ from infocat.finprob import (
 )
 from infocat.noisy import NoisyMorphism, NoisyObject, noisy_capacity, noisy_information
 from infocat.prng import trial_rng
+from test_noisy_reference import continuous_capacity
 
 PROB = category(CategoryId.FINPROB)
 NPROB = category(CategoryId.NOISY_FINPROB)

@@ -5,7 +5,9 @@ channel_of read the integer joint count table directly; the references
 below are the earlier Fraction formulas, kept here only as oracles.  The
 float values must agree bit for bit and the exact value as a LogVal.
 Also covered: the capacity cache, the UNDEFINED value of a solve that
-did not converge, and the object-only product builders.
+did not converge, and the object-only product builders.  The capacity
+of a weighted noisy_finprob system (continuous_capacity) is no audit
+measure and lives here only as a reference.
 """
 
 import dataclasses
@@ -18,9 +20,10 @@ from infocat import AuditConfig, CategoryId, audit_all, category
 from infocat import noisy as noisy_mod
 from infocat.capacity import blahut_arimoto
 from infocat.config import log, log_base
-from infocat.core import Limits, is_undefined
+from infocat.core import UNDEFINED, Limits, is_undefined
 from infocat.exact import LogVal
-from infocat.finprob import continuous_capacity, from_noisy_finset
+from infocat.errors import ZeroMassFiber
+from infocat.finprob import _joint_masses, from_noisy_finset
 from infocat.measures import get_measure, value_of
 from infocat.noisy import (
     NoisyMorphism,
@@ -83,6 +86,24 @@ def ref_closed_form(f):
                 acc += n_ab * log(Fraction(n_ab, col[b]))
     a_size = f.domain.a_size
     return acc / m - 2.0 * a_size * log(a_size)
+
+
+def continuous_capacity(f, solve=blahut_arimoto):
+    """Capacity of a noisy_finprob system's conditional law
+    P(b | a) = rho(a, b) / alpha(a), or UNDEFINED when the solver stopped
+    at its iteration cap.  No measure registry holds it; it is the
+    reference that the capacity of an embedded noisy_finset system is
+    checked against.  The solver renormalizes raw rows but not a Channel,
+    so this path keeps raw rows."""
+    rho = _joint_masses(f)
+    alpha = f.domain.message.weights
+    rows = []
+    for a, row in enumerate(rho):
+        if alpha[a] == 0:
+            raise ZeroMassFiber(f"message {a} has zero mass")
+        rows.append([float(mass / alpha[a]) for mass in row])
+    result = solve(rows)
+    return result.capacity if result.converged else UNDEFINED
 
 
 def ref_channel_rows(f):
@@ -258,13 +279,10 @@ class TestNonConvergence:
         ident = NOISY.identity(NoisyObject(2, 2, (0, 1)))
         assert noisy_capacity(ident) == pytest.approx(1.0, abs=1e-9)
 
-    def test_continuous_capacity_is_undefined(self, monkeypatch):
-        import infocat.finprob as finprob_mod
-
+    def test_continuous_capacity_is_undefined(self):
         f = from_noisy_finset(z_channel_system())
         assert continuous_capacity(f) == pytest.approx(noisy_capacity(z_channel_system()))
-        monkeypatch.setattr(finprob_mod, "blahut_arimoto", _stop_after_one_iteration)
-        assert is_undefined(continuous_capacity(f))
+        assert is_undefined(continuous_capacity(f, solve=_stop_after_one_iteration))
 
     def test_audit_skips_instead_of_comparing(self, cold_capacity_cache, monkeypatch):
         config = AuditConfig(
