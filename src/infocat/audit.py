@@ -62,7 +62,15 @@ from typing import Iterator
 
 from . import config as cfg
 from . import jsonio
-from .core import CategoryId, Limits, category, dict_from_json, int_from_json, is_undefined
+from .core import (
+    CategoryId,
+    Limits,
+    category,
+    dict_from_json,
+    float_from_json,
+    int_from_json,
+    is_undefined,
+)
 from .errors import (
     EnumerationBudgetExceeded,
     IndexOutOfRange,
@@ -196,13 +204,22 @@ class Violation:
         trial_index = int_from_json(data["trial_index"], "trial_index")
         if trial_index < 0:
             raise InvalidObject(f"trial_index must be non-negative, not {trial_index}")
+        check = data["check"]
+        if not isinstance(check, str) or check not in _CHECKS:
+            raise InvalidObject(f"check must name a check, not {check!r}")
+        measure = data.get("measure")
+        if measure is not None and not isinstance(measure, str):
+            raise InvalidObject(f"measure must be a string or null, not {measure!r}")
+        morphisms = data["morphisms"]
+        if not isinstance(morphisms, list) or not all(isinstance(m, dict) for m in morphisms):
+            raise InvalidObject(f"morphisms must be a list of JSON objects, not {morphisms!r}")
         return cls(
-            check=data["check"],
-            measure=data.get("measure"),
-            morphisms=tuple(data["morphisms"]),
-            lhs=data["lhs"],
-            rhs=data["rhs"],
-            delta=data["delta"],
+            check=check,
+            measure=measure,
+            morphisms=tuple(morphisms),
+            lhs=float_from_json(data["lhs"], "lhs"),
+            rhs=float_from_json(data["rhs"], "rhs"),
+            delta=float_from_json(data["delta"], "delta"),
             seed=int_from_json(data["seed"], "seed"),
             trial_index=trial_index,
         )
@@ -422,7 +439,9 @@ class _Fail:
 # Tuples run in lexicographic order of the factors, the last varying
 # fastest.  The audit's stream, its tuple counts and replay's unranking
 # all read this table, so they cannot disagree on the order that trial
-# indices in old reports refer to.
+# indices in old reports refer to.  Random tuples draw their members in
+# the same factor order: a random morphism for "M", a random object for
+# "O", and a random morphism out of that endpoint of f for the others.
 
 _SHAPES = {
     "unary": ("M",),
@@ -568,31 +587,17 @@ class _Engine:
         return chain.from_iterable(product(*b) for b in self._blocks(kind)[1])
 
     def _random_parts(self, kind: str, rng) -> tuple:
+        """A random tuple of kind, its members drawn in _SHAPES order."""
         ops, lim = self.ops, self.limits
-        if kind == "unary":
-            return (ops.random_morphism(rng, lim),)
-        if kind == "pair":
-            return (ops.random_morphism(rng, lim), ops.random_morphism(rng, lim))
-        if kind == "composable":
-            f = ops.random_morphism(rng, lim)
-            return (f, ops.random_morphism_from(rng, f.codomain, lim))
-        if kind == "common_domain":
-            f = ops.random_morphism(rng, lim)
-            return (f, ops.random_morphism_from(rng, f.domain, lim))
-        if kind == "triple":
-            f = ops.random_morphism(rng, lim)
-            return (
-                f,
-                ops.random_morphism_from(rng, f.domain, lim),
-                ops.random_morphism_from(rng, f.domain, lim),
-            )
-        if kind == "object":
-            return (ops.random_object(rng, lim),)
-        if kind == "object_pair":
-            return (ops.random_object(rng, lim), ops.random_object(rng, lim))
-        if kind == "morphism_object":
-            return (ops.random_morphism(rng, lim), ops.random_object(rng, lim))
-        raise AssertionError(kind)
+        parts = []
+        for factor in _SHAPES[kind]:
+            if factor == "M":
+                parts.append(ops.random_morphism(rng, lim))
+            elif factor == "O":
+                parts.append(ops.random_object(rng, lim))
+            else:
+                parts.append(ops.random_morphism_from(rng, getattr(parts[0], factor), lim))
+        return tuple(parts)
 
     def _parts_at(self, check: _Check, trial_index: int) -> tuple:
         if self.config.mode == "exhaustive":

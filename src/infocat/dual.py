@@ -1,10 +1,19 @@
 """Formal opposites of the set and linear categories.
 
 A morphism A -> B here is just a base morphism B -> A worn backwards,
-so every algorithm delegates to the base category and (f*)* = f holds
-by construction.  Products become coproducts of the base: disjoint
-unions with offset indexing for sets, direct sums for vector spaces;
-the terminal object is the base initial object (empty set, zero space).
+so composition, isomorphisms, the corpus and serialization delegate to
+the base category and (f*)* = f holds by construction.
+
+The vect dual is finvect read through the transpose: transposing the
+inner matrix is an isomorphism of categories onto finvect (the standard
+bases identify each space with its dual).  So its
+products (direct sums), terminal object (the zero space), coslice and
+section tests are finvect's, carried across the transpose; a
+column-space test on inner maps is finvect's row-space test.  The set
+dual has no such isomorphism and keeps its own coproduct arithmetic:
+products are disjoint unions with offset indexing, and the terminal
+object is the empty set.
+
 The information measures are the raw image cardinality of the inner set
 map and the image dimension of the inner linear map; both are exact
 integers, no logarithm involved.
@@ -13,20 +22,14 @@ integers, no logarithm involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Iterator, Union
 
 from . import pointmap
 from .core import ArrowIso, Category, CategoryId, IsoWitness, Limits, register
-from .errors import (
-    CategoryMismatch,
-    DomainMismatch,
-    ObjectMismatch,
-    SearchBudgetExceeded,
-)
+from .errors import CategoryMismatch, DomainMismatch, ObjectMismatch
 from .exact import LogVal
 from .finset import FINSET, FinSetMorphism, FinSetObject
-from .finvect import FINVECT, GF2, LinearMorphism, VectObject, _rank, rank
+from .finvect import FINVECT, GF2, LinearMorphism, VectObject, random_rows, rank, transpose
 from .measures import InfoMeasure, register_measure
 
 
@@ -62,7 +65,8 @@ def image_dimension_info(f: DualMorphism) -> int:
 
 
 class _DualCategory(Category):
-    """Shared delegation logic; subclasses supply the coproducts."""
+    """Shared delegation logic; subclasses supply the products, the
+    terminal object and the coslice and section tests."""
 
     base: Category
 
@@ -105,7 +109,7 @@ class _DualCategory(Category):
 
     def exhaustive_morphisms_from(self, obj, limits: Limits) -> Iterator[DualMorphism]:
         for cod in self.exhaustive_objects(limits):
-            for inner in self._maps_between(cod, obj):
+            for inner in self.base.maps_between(cod, obj):
                 yield DualMorphism(inner)
 
     def random_morphism(self, rng, limits: Limits) -> DualMorphism:
@@ -182,10 +186,6 @@ class FinSetDualCategory(_DualCategory):
         fg = self.base.compose(f.inner, g.inner)
         return set(f.inner.mapping) <= set(fg.mapping)
 
-    def _maps_between(self, dom: FinSetObject, cod: FinSetObject) -> Iterator[FinSetMorphism]:
-        for mapping in pointmap.maps(dom.size, cod.size):
-            yield FinSetMorphism(dom, cod, mapping)
-
     def exhaustive_objects(self, limits: Limits) -> Iterator[FinSetObject]:
         # Size 0 is the terminal object here, so the corpus includes it.
         for n in range(0, limits.max_size + 1):
@@ -202,27 +202,16 @@ class FinSetDualCategory(_DualCategory):
 
 
 class FinVectDualCategory(_DualCategory):
+    """finvect read through the transpose: f* -> transpose(f*.inner) is a
+    bijection on each hom-set that turns the reversed composite into the
+    ordinary one, so the structure below is finvect's, carried across."""
+
     id = CategoryId.FINVECT_DUAL
     base = FINVECT
 
     def product_object(self, x: VectObject, y: VectObject):
-        if x.field != y.field:
-            raise CategoryMismatch("cannot pair spaces over different fields")
-        field = x.field
-        prod = VectObject(x.dim + y.dim, field)
-        zero, one = field.zero(), field.one()
-        inj1 = LinearMorphism(
-            x, prod,
-            tuple(tuple(one if j == i else zero for j in range(x.dim)) for i in range(prod.dim)),
-        )
-        inj2 = LinearMorphism(
-            y, prod,
-            tuple(
-                tuple(one if j == i - x.dim else zero for j in range(y.dim))
-                for i in range(prod.dim)
-            ),
-        )
-        return prod, DualMorphism(inj1), DualMorphism(inj2)
+        prod, p1, p2 = self.base.product_object(x, y)
+        return prod, DualMorphism(transpose(p1)), DualMorphism(transpose(p2))
 
     def external_product(self, f: DualMorphism, g: DualMorphism) -> DualMorphism:
         if not isinstance(g.inner, LinearMorphism):
@@ -235,76 +224,30 @@ class FinVectDualCategory(_DualCategory):
         entries = tuple(row_f + row_g for row_f, row_g in zip(fi.entries, gi.entries))
         return LinearMorphism(dom, fi.codomain, entries)
 
-    def terminal_object(self, field=None) -> VectObject:
-        return VectObject(0, field if field is not None else GF2)
+    def terminal_object(self, field=GF2) -> VectObject:
+        return self.base.terminal_object(field)
 
     def terminal_for(self, limits: Limits) -> VectObject:
-        return self.terminal_object(self.base.limit_field(limits))
+        return self.base.terminal_for(limits)
 
     def unique_to_terminal(self, obj: VectObject) -> DualMorphism:
-        zero_space = VectObject(0, obj.field)
-        return DualMorphism(
-            LinearMorphism(zero_space, obj, ((),) * obj.dim)
-        )
+        return DualMorphism(transpose(self.base.unique_to_terminal(obj)))
 
     def coslice_iso(self, p: DualMorphism, q: DualMorphism, budget: int = 100_000) -> bool:
-        if p.domain != q.domain:
-            raise DomainMismatch("coslice comparison needs a shared source")
-        if p.codomain.dim != q.codomain.dim:
-            return False
-        # An invertible change of source exists iff the inner maps have
-        # the same column space.
-        rp = rank(p.inner)
-        if rank(q.inner) != rp:
-            return False
-        field = p.inner.field
-        concat = tuple(
-            row_p + row_q for row_p, row_q in zip(p.inner.entries, q.inner.entries)
-        )
-        return _rank(field, [list(r) for r in concat]) == rp
+        return self.base.coslice_iso(transpose(p.inner), transpose(q.inner), budget)
 
     def section_exists(self, f: DualMorphism, g: DualMorphism) -> bool:
-        if f.codomain != g.domain:
-            raise ObjectMismatch("section test needs composable f then g")
-        fg = self.base.compose(f.inner, g.inner)
-        rank_fg = rank(fg)
-        field = fg.field
-        concat = tuple(
-            row_c + row_f for row_c, row_f in zip(fg.entries, f.inner.entries)
-        )
-        # Solvable iff the image of the inner f sits inside the image
-        # of the inner f.g.
-        return _rank(field, [list(r) for r in concat]) == rank_fg
-
-    def _maps_between(self, dom: VectObject, cod: VectObject) -> Iterator[LinearMorphism]:
-        field = dom.field
-        if not field.char:
-            raise SearchBudgetExceeded("rational matrices cannot be enumerated")
-        for flat in iter_product(range(field.char), repeat=cod.dim * dom.dim):
-            entries = tuple(
-                flat[i * dom.dim:(i + 1) * dom.dim] for i in range(cod.dim)
-            )
-            yield LinearMorphism(dom, cod, entries)
+        return self.base.section_exists(transpose(f.inner), transpose(g.inner))
 
     def exhaustive_objects(self, limits: Limits) -> Iterator[VectObject]:
-        field = self.base.limit_field(limits)
-        for n in range(0, limits.max_size + 1):
-            yield VectObject(n, field)
+        return self.base.exhaustive_objects(limits)
 
     def random_object(self, rng, limits: Limits) -> VectObject:
         return self.base.random_object(rng, limits)
 
     def random_morphism_from(self, rng, obj: VectObject, limits: Limits) -> DualMorphism:
-        cod_dim = rng.randint(0, limits.max_size)
-        cod = VectObject(cod_dim, obj.field)
-        inner = LinearMorphism(
-            cod, obj,
-            tuple(
-                tuple(self.base._random_scalar(rng, obj.field) for _ in range(cod_dim))
-                for _ in range(obj.dim)
-            ),
-        )
-        return DualMorphism(inner)
+        cod = VectObject(rng.randint(0, limits.max_size), obj.field)
+        return DualMorphism(LinearMorphism(cod, obj, random_rows(rng, obj.field, obj.dim, cod.dim)))
 
 
 FINSET_DUAL = register(FinSetDualCategory())

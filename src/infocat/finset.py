@@ -233,9 +233,12 @@ class FinSetCategory(PointMapCategory):
 
     def exhaustive_morphisms_from(self, obj: FinSetObject, limits: Limits) -> Iterator[FinSetMorphism]:
         for b in range(1, limits.max_size + 1):
-            cod = FinSetObject(b)
-            for mapping in pointmap.maps(obj.size, b):
-                yield FinSetMorphism(obj, cod, mapping)
+            yield from self.maps_between(obj, FinSetObject(b))
+
+    def maps_between(self, dom: FinSetObject, cod: FinSetObject) -> Iterator[FinSetMorphism]:
+        """Every map dom -> cod, in lexicographic order of its image list."""
+        for mapping in pointmap.maps(dom.size, cod.size):
+            yield FinSetMorphism(dom, cod, mapping)
 
     def random_object(self, rng, limits: Limits) -> FinSetObject:
         return FinSetObject(rng.randint(1, limits.max_size))

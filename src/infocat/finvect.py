@@ -5,6 +5,13 @@ cols = source dim), with exact arithmetic throughout: integers mod p or
 Fraction.  Products are direct sums; the external product is the block
 diagonal and the internal product stacks the two matrices over the
 shared source.  The information measure is the rank of the map.
+
+The linear algebra is written once: one Gauss-Jordan elimination
+(_eliminate) gives the rank, the inverse and the row half of the
+Smith-like normal form; one builder gives the unit rows of identities
+and projections; maps_between enumerates the matrices between two
+spaces and random_rows draws them.  finvect_dual is this category read
+through transpose (see infocat.dual).
 """
 
 from __future__ import annotations
@@ -159,25 +166,34 @@ def linear_morphism(field: FieldSpec, entries) -> LinearMorphism:
     return LinearMorphism(VectObject(cols, field), VectObject(len(rows), field), rows)
 
 
-def _rank(field: FieldSpec, rows: list[list]) -> int:
-    rank = 0
+def _eliminate(field: FieldSpec, rows: list[list], n_cols: int) -> list[int]:
+    """Gauss-Jordan elimination of rows, in place, over their first n_cols
+    columns; columns past n_cols take the same row operations.  Returns
+    the pivot columns: row i of the result is 1 at the i-th pivot and 0
+    in every other pivot column, and the rows after the pivots are 0 in
+    the first n_cols columns."""
+    pivots: list[int] = []
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
     for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if rows[i][col] != 0), None)
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if rows[i][col] != 0), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.div(field.one(), rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.div(field.one(), rows[r][col])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
         for i in range(n_rows):
-            if i != rank and rows[i][col] != 0:
+            if i != r and rows[i][col] != 0:
                 factor = rows[i][col]
-                rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+                rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def _rank(field: FieldSpec, rows: list[list]) -> int:
+    return len(_eliminate(field, rows, len(rows[0]) if rows else 0))
 
 
 @lru_cache(maxsize=65536)
@@ -213,70 +229,62 @@ def _matmul(field: FieldSpec, a, b, n_cols: int | None = None):
     return tuple(out)
 
 
-def _identity_rows(field: FieldSpec, n: int):
+def _unit_rows(field: FieldSpec, n_cols: int, cols) -> tuple[tuple, ...]:
+    """One row per c in cols: the unit vector e_c of width n_cols."""
     one, zero = field.one(), field.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return tuple(tuple(one if j == c else zero for j in range(n_cols)) for c in cols)
+
+
+def _with_identity(field: FieldSpec, rows) -> list[list]:
+    """[A | I] as mutable rows, for elimination that records its row
+    operations."""
+    n = len(rows)
+    return [list(r) + list(e) for r, e in zip(rows, _unit_rows(field, n, range(n)))]
 
 
 def _inverse(field: FieldSpec, rows):
     """Inverse of a square matrix given as tuple rows; None if singular."""
     n = len(rows)
-    work = [list(r) + list(ident) for r, ident in zip(rows, _identity_rows(field, n))]
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if work[i][col] != 0), None)
-        if pivot is None:
-            return None
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = field.div(field.one(), work[r][col])
-        work[r] = [field.mul(inv, v) for v in work[r]]
-        for i in range(n):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(work[i], work[r])]
-        r += 1
+    work = _with_identity(field, rows)
+    if len(_eliminate(field, work, n)) < n:
+        return None
     return tuple(tuple(row[n:]) for row in work)
 
 
 def _smith_like(field: FieldSpec, m: LinearMorphism):
     """Invertible S (rows) and T (cols) with S @ M @ T = [[I_r, 0], [0, 0]]."""
-    n_rows, n_cols = m.codomain.dim, m.domain.dim
-    a = [list(r) for r in m.entries]
-    s = [list(r) for r in _identity_rows(field, n_rows)]
-    t = [list(r) for r in _identity_rows(field, n_cols)]
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        s[r], s[pivot] = s[pivot], s[r]
-        inv = field.div(field.one(), a[r][col])
-        a[r] = [field.mul(inv, v) for v in a[r]]
-        s[r] = [field.mul(inv, v) for v in s[r]]
-        for i in range(n_rows):
-            if i != r and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(a[i], a[r])]
-                s[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(s[i], s[r])]
-        r += 1
-    # Columns of the reduced matrix: pivots hold a single 1; clear the rest
-    # with column operations, then permute pivot columns to the front.
-    pivot_cols = []
-    for i in range(r):
-        pivot_cols.append(next(j for j in range(n_cols) if a[i][j] != 0))
-    for i, pc in enumerate(pivot_cols):
+    n_cols = m.domain.dim
+    work = _with_identity(field, m.entries)
+    pivots = _eliminate(field, work, n_cols)
+    # S is the record of the row operations.  Each pivot column of the
+    # reduced matrix holds a single 1, so clearing entry j of pivot row i
+    # with a column operation puts -work[i][j] at (pivot, j) of T = I;
+    # then the pivot columns move to the front.
+    t = [list(r) for r in _unit_rows(field, n_cols, range(n_cols))]
+    for i, pc in enumerate(pivots):
         for j in range(n_cols):
-            if j != pc and a[i][j] != 0:
-                factor = a[i][j]
-                for k in range(n_rows):
-                    a[k][j] = field.sub(a[k][j], field.mul(factor, a[k][pc]))
-                for k in range(n_cols):
-                    t[k][j] = field.sub(t[k][j], field.mul(factor, t[k][pc]))
-    order = pivot_cols + [j for j in range(n_cols) if j not in pivot_cols]
-    a = [[row[j] for j in order] for row in a]
-    t = [[row[j] for j in order] for row in t]
-    return tuple(tuple(row) for row in s), tuple(tuple(row) for row in t)
+            if j != pc and work[i][j] != 0:
+                t[pc][j] = field.sub(field.zero(), work[i][j])
+    order = pivots + [j for j in range(n_cols) if j not in pivots]
+    s = tuple(tuple(row[n_cols:]) for row in work)
+    return s, tuple(tuple(row[j] for j in order) for row in t)
+
+
+def _random_scalar(rng, field: FieldSpec):
+    if field.char:
+        return rng.randbelow(field.char)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def random_rows(rng, field: FieldSpec, n_rows: int, n_cols: int) -> tuple[tuple, ...]:
+    """An n_rows x n_cols matrix of random scalars, drawn row by row."""
+    return tuple(tuple(_random_scalar(rng, field) for _ in range(n_cols)) for _ in range(n_rows))
+
+
+def transpose(m: LinearMorphism) -> LinearMorphism:
+    """The transposed matrix, a map codomain -> domain."""
+    entries = tuple(tuple(row[j] for row in m.entries) for j in range(m.domain.dim))
+    return LinearMorphism(m.codomain, m.domain, entries)
 
 
 def section_exists_linear(f: LinearMorphism, g: LinearMorphism) -> bool:
@@ -305,25 +313,14 @@ class FinVectCategory(Category):
         )
 
     def identity(self, obj: VectObject) -> LinearMorphism:
-        return LinearMorphism(obj, obj, _identity_rows(obj.field, obj.dim))
+        return LinearMorphism(obj, obj, _unit_rows(obj.field, obj.dim, range(obj.dim)))
 
     def product_object(self, a: VectObject, b: VectObject):
         if a.field != b.field:
             raise CategoryMismatch("cannot pair spaces over different fields")
-        field = a.field
-        prod = VectObject(a.dim + b.dim, field)
-        zero, one = field.zero(), field.one()
-        p1 = LinearMorphism(
-            prod, a,
-            tuple(tuple(one if j == i else zero for j in range(prod.dim)) for i in range(a.dim)),
-        )
-        p2 = LinearMorphism(
-            prod, b,
-            tuple(
-                tuple(one if j == a.dim + i else zero for j in range(prod.dim))
-                for i in range(b.dim)
-            ),
-        )
+        prod = VectObject(a.dim + b.dim, a.field)
+        p1 = LinearMorphism(prod, a, _unit_rows(a.field, prod.dim, range(a.dim)))
+        p2 = LinearMorphism(prod, b, _unit_rows(a.field, prod.dim, range(a.dim, prod.dim)))
         return prod, p1, p2
 
     def external_product(self, f: LinearMorphism, g: LinearMorphism) -> LinearMorphism:
@@ -397,7 +394,7 @@ class FinVectCategory(Category):
     def random_iso_out(self, rng, obj: VectObject) -> IsoWitness:
         field, n = obj.field, obj.dim
         while True:
-            rows = tuple(tuple(self._random_scalar(rng, field) for _ in range(n)) for _ in range(n))
+            rows = random_rows(rng, field, n, n)
             inv = _inverse(field, rows)
             if inv is not None:
                 fwd = LinearMorphism(obj, obj, rows)
@@ -418,32 +415,21 @@ class FinVectCategory(Category):
             yield VectObject(n, field)
 
     def exhaustive_morphisms(self, limits: Limits) -> Iterator[LinearMorphism]:
-        field = self.limit_field(limits)
-        if not field.char:
-            raise EnumerationBudgetExceeded("rational matrices cannot be enumerated")
-        for cols in range(0, limits.max_size + 1):
-            for rows_n in range(0, limits.max_size + 1):
-                dom, cod = VectObject(cols, field), VectObject(rows_n, field)
-                for flat in iter_product(range(field.char), repeat=rows_n * cols):
-                    entries = tuple(flat[i * cols:(i + 1) * cols] for i in range(rows_n))
-                    yield LinearMorphism(dom, cod, entries)
+        for obj in self.exhaustive_objects(limits):
+            yield from self.exhaustive_morphisms_from(obj, limits)
 
     def exhaustive_morphisms_from(self, obj: VectObject, limits: Limits) -> Iterator[LinearMorphism]:
-        field = obj.field
+        for n in range(0, limits.max_size + 1):
+            yield from self.maps_between(obj, VectObject(n, obj.field))
+
+    def maps_between(self, dom: VectObject, cod: VectObject) -> Iterator[LinearMorphism]:
+        """Every matrix dom -> cod, in lexicographic order of its rows."""
+        field = dom.field
         if not field.char:
             raise EnumerationBudgetExceeded("rational matrices cannot be enumerated")
-        cols = obj.dim
-        for rows_n in range(0, limits.max_size + 1):
-            cod = VectObject(rows_n, field)
-            for flat in iter_product(range(field.char), repeat=rows_n * cols):
-                entries = tuple(flat[i * cols:(i + 1) * cols] for i in range(rows_n))
-                yield LinearMorphism(obj, cod, entries)
-
-    @staticmethod
-    def _random_scalar(rng, field: FieldSpec):
-        if field.char:
-            return rng.randbelow(field.char)
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        cols = dom.dim
+        for flat in iter_product(range(field.char), repeat=cod.dim * cols):
+            yield LinearMorphism(dom, cod, tuple(flat[i * cols:(i + 1) * cols] for i in range(cod.dim)))
 
     def random_object(self, rng, limits: Limits) -> VectObject:
         return VectObject(rng.randint(0, limits.max_size), self.limit_field(limits))
@@ -452,12 +438,8 @@ class FinVectCategory(Category):
         return self.random_morphism_from(rng, self.random_object(rng, limits), limits)
 
     def random_morphism_from(self, rng, obj: VectObject, limits: Limits) -> LinearMorphism:
-        field = obj.field
         rows_n = rng.randint(0, limits.max_size)
-        entries = tuple(
-            tuple(self._random_scalar(rng, field) for _ in range(obj.dim)) for _ in range(rows_n)
-        )
-        return LinearMorphism(obj, VectObject(rows_n, field), entries)
+        return LinearMorphism(obj, VectObject(rows_n, obj.field), random_rows(rng, obj.field, rows_n, obj.dim))
 
     # -- serialization --------------------------------------------------
     def object_to_json(self, obj: VectObject) -> dict:

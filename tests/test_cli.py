@@ -120,6 +120,16 @@ class TestReplay:
         assert code == 3
         assert "replay mismatch:" in err
 
+    def test_unknown_measure_name_is_replay_mismatch(self, capsys, tmp_path):
+        # Well formed, but not a measure of the recorded config.
+        path = write_broken_report(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["violations"][0]["measure"] = "nope"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "replay", "--report", str(path), "--index", "0")
+        assert code == 3
+        assert "measure 'nope' not in config" in err
+
     def test_index_out_of_range_is_input_error(self, capsys, tmp_path):
         path = write_broken_report(capsys, tmp_path)
         code, _, err = run(capsys, "replay", "--report", str(path), "--index", "100000")
@@ -147,6 +157,14 @@ class TestReplay:
             ("config", "checks", [None]),
             ("config", "tolerance", True),
             ("config", "tolerance", "1e-9"),
+            ("violation", "check", "nope"),
+            ("violation", "check", 5),
+            ("violation", "measure", 5),
+            ("violation", "lhs", "x"),
+            ("violation", "rhs", None),
+            ("violation", "delta", True),
+            ("violation", "morphisms", {"f": 1}),
+            ("violation", "morphisms", [3]),
         ],
     )
     def test_malformed_field_is_input_error(self, capsys, tmp_path, section, key, value):

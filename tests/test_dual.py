@@ -25,7 +25,7 @@ def section_search(ops, f, g):
     fg = ops.base.compose(f.inner, g.inner)
     return any(
         ops.base.compose(fg, s) == f.inner
-        for s in ops._maps_between(f.inner.domain, g.inner.domain)
+        for s in ops.base.maps_between(f.inner.domain, g.inner.domain)
     )
 
 
