@@ -7,7 +7,10 @@ independent computation rather than against itself.
 """
 
 import dataclasses
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,15 @@ from infocat import (
     generate,
     replay,
 )
-from infocat.audit import _CHECKS, Violation, _Engine
+from infocat.audit import (
+    _CHECKS,
+    ALL_CHECKS,
+    AXIOM_CHECKS,
+    EXTRA_CHECKS,
+    PROPOSITION_CHECKS,
+    Violation,
+    _Engine,
+)
 from infocat.config import log_base
 from infocat.core import UNDEFINED, category, is_undefined
 from infocat.errors import (
@@ -30,11 +41,12 @@ from infocat.errors import (
     InvalidObject,
     ReplayMismatch,
 )
-from infocat.exact import LogVal
-from infocat.finset import FINSET, Limits, finset_morphism, image_size
+from infocat.finset import FINSET, Limits, finset_morphism
 from infocat.finvect import parse_field
 from infocat.jsonio import dumps, morphism_to_json
-from infocat.measures import _REGISTRY, InfoMeasure, get_measure, value_of
+from infocat.measures import get_measure, value_of
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
 def finset_config(**kw):
@@ -209,6 +221,47 @@ class TestCheckSelection:
         report = audit_axioms(finset_config(checks=("zero_at_terminal",)))
         assert report.checks_run == {}
 
+    def test_check_lists_are_pinned(self):
+        # ALL_CHECKS is the order of violations in a report.
+        assert AXIOM_CHECKS == (
+            "invariance",
+            "external_additivity",
+            "internal_strong_subadditivity",
+            "data_processing",
+            "section_iff",
+            "destination_matching",
+        )
+        assert PROPOSITION_CHECKS == (
+            "iso_well_defined",
+            "source_matching",
+            "internal_monotonicity",
+            "internal_idempotence",
+            "internal_subadditivity",
+            "unit_product_identity",
+            "zero_at_terminal",
+            "projection_irrelevance",
+            "terminal_structure",
+            "projection_via_terminal",
+        )
+        assert EXTRA_CHECKS == ("internal_product_existence",)
+        assert ALL_CHECKS == AXIOM_CHECKS + PROPOSITION_CHECKS + EXTRA_CHECKS
+        assert tuple(_CHECKS) == ALL_CHECKS
+
+    def test_benchmark_spells_out_the_same_checks(self, monkeypatch):
+        # The benchmark's driver never imports infocat, so it repeats the
+        # list; load it by path, with its sys.path entry and helper modules
+        # dropped again afterwards.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        before = set(sys.modules)
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+        module = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            for name in set(sys.modules) - before:
+                del sys.modules[name]
+        assert module.CHECKS == ALL_CHECKS
+
 
 class TestDeterminism:
     def test_exhaustive_reports_byte_identical(self):
@@ -373,21 +426,6 @@ class TestUnranking:
 
 
 ISS = "internal_strong_subadditivity"
-
-
-@pytest.fixture
-def image_squared(monkeypatch):
-    """A finset measure, registered for one test, that breaks strong
-    subadditivity: with f = {0},{1,2}, g constant and h = {0,1},{2} on a
-    three-point source, I(<<f,g>,h>) = 9 > I(<f,g>) + I(<g,h>) - I(g) = 7."""
-    measure = InfoMeasure(
-        "image_squared",
-        CategoryId.FINSET,
-        lambda m: float(image_size(m) ** 2),
-        lambda m: LogVal.from_rational(image_size(m) ** 2),
-    )
-    monkeypatch.setitem(_REGISTRY, (CategoryId.FINSET, measure.name), measure)
-    return measure.name
 
 
 def naive_strong_subadditivity(config):
