@@ -130,6 +130,17 @@ class TestReplay:
         assert code == 3
         assert "measure 'nope' not in config" in err
 
+    def test_check_outside_the_config_is_replay_mismatch(self, capsys, tmp_path):
+        # Index 0 is an external_additivity violation, which this config
+        # no longer selects.
+        path = write_broken_report(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["config"]["checks"] = ["zero_at_terminal"]
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "replay", "--report", str(path), "--index", "0")
+        assert code == 3
+        assert "check 'external_additivity' not active under this config" in err
+
     def test_index_out_of_range_is_input_error(self, capsys, tmp_path):
         path = write_broken_report(capsys, tmp_path)
         code, _, err = run(capsys, "replay", "--report", str(path), "--index", "100000")
@@ -165,6 +176,7 @@ class TestReplay:
             ("violation", "delta", True),
             ("violation", "morphisms", {"f": 1}),
             ("violation", "morphisms", [3]),
+            ("config", "checks", ["nope"]),
         ],
     )
     def test_malformed_field_is_input_error(self, capsys, tmp_path, section, key, value):
