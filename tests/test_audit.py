@@ -294,6 +294,50 @@ class TestDeterminism:
         assert streamed == direct
 
 
+class TestMeasureIndependence:
+    """A measure's verdicts do not depend on the other measures audited
+    beside it: an audit of several measures is the one-measure audits
+    merged, its violations in check order, then trial order, then the
+    config's measure order."""
+
+    @staticmethod
+    def assert_merged(config):
+        report = audit_all(config)
+        singles = [audit_all(dataclasses.replace(config, measures=(m,))) for m in config.measures]
+        check_rank = {name: i for i, name in enumerate(ALL_CHECKS)}
+        measure_rank = {name: i for i, name in enumerate(config.measures)}
+        merged = sorted(
+            (v for single in singles for v in single.violations if v.measure is not None),
+            key=lambda v: (check_rank[v.check], v.trial_index, measure_rank[v.measure]),
+        )
+        assert [v for v in report.violations if v.measure is not None] == merged
+        for name in report.checks_run:
+            if _CHECKS[name].needs_measure:
+                for counts, alone in (
+                    (report.checks_run, [s.checks_run for s in singles]),
+                    (report.skipped_undefined, [s.skipped_undefined for s in singles]),
+                ):
+                    assert counts[name] == sum(c[name] for c in alone), name
+        return report
+
+    def test_exhaustive(self, mutants):
+        report = self.assert_merged(
+            finset_config(measures=(*mutants, "shannon", "broken_constant"))
+        )
+        assert len(report.violations) == 451
+
+    def test_random(self, mutants):
+        config = AuditConfig(
+            category=CategoryId.FINSET,
+            measures=("shannon", "point0", "broken_source_size"),
+            mode="random",
+            max_size=4,
+            trials=40,
+            seed=3,
+        )
+        assert len(self.assert_merged(config).violations) == 448
+
+
 class TestReplay:
     def broken_report(self):
         return audit_all(finset_config(measures=("broken_constant",)))

@@ -41,6 +41,28 @@ SHA256 = {
         ),
         "b65d48f499309ec6e333c26e25880baabba560d3b25060846384d40c0c72026d",
     ),
+    # The conjugation checks on finset <= 3, under measures that fail with
+    # labels, one-sided values and exact forms (4,249 violations).
+    "finset-3-mutants-conjugation": (
+        dict(
+            category="finset",
+            measures=("point0", "partial_label", "cod_size"),
+            max_size=3,
+            checks=("invariance", "iso_well_defined"),
+        ),
+        "7f9af78f74d0a8de03c410e0258c29a78e201bb6987bb23e9009bc63a782aedf",
+    ),
+    # Strong subadditivity over the pair memo, one failing measure beside
+    # one that holds (2,304 violations).
+    "finset-3-strong-subadditivity": (
+        dict(
+            category="finset",
+            measures=("image_squared", "shannon"),
+            max_size=3,
+            checks=("internal_strong_subadditivity",),
+        ),
+        "4aed406fba5a83803236f15b32908935142af0f8a71492d5463dcd1f45d1b70a",
+    ),
     "finset-random": (
         dict(
             category="finset",

@@ -61,6 +61,38 @@ def wrapped():
     return set(json.loads(out.stdout))
 
 
+def test_an_audit_reaches_every_traced_layer():
+    """A wrapped name that the audit bypasses, by calling a category
+    method or a measure some other way, would report zero calls and
+    still pass the tests above; an instrumented audit must reach each."""
+    script = (
+        "import importlib.util, json, sys\n"
+        "spec = importlib.util.spec_from_file_location('bench_tracer', sys.argv[1])\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "t = tracer.Tracer()\n"
+        "tracer.instrument(t)\n"
+        "from infocat.audit import AuditConfig, audit_all\n"
+        "audit_all(AuditConfig(category='finset', measures=('shannon',), max_size=2))\n"
+        "print(json.dumps({name: stat[0] for name, stat in t.calls.items()}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(TRACER)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    calls = json.loads(out.stdout)
+    for layer in (
+        "ops.compose",
+        "ops.external_product",
+        "ops.internal_product",
+        "ops.random_iso_out",
+        "measures.value_of",
+        "measures.exact_of",
+    ):
+        assert calls.get(layer, 0) > 0, f"{layer}: the audit made no traced call"
+
+
 def test_every_cache_resolves(tracer):
     for name, module, attr in tracer.CACHES:
         fn = getattr(importlib.import_module(module), attr, None)
