@@ -351,8 +351,12 @@ def _logval_sum(a, b):
 class _MeasureCtx:
     """One measure plus its comparison policy and per-corpus cache.
 
-    Only members of corpus_set are cached; the engine sets it when it
-    materializes an exhaustive corpus.
+    The values of corpus members are cached in tables indexed by corpus
+    position, found through the corpus's id(m) -> position map; the
+    engine attaches the corpus when it materializes one.  Keying on ids
+    is sound for members only, because the corpus keeps them alive; any
+    other morphism (a product, a composite, a random draw) is evaluated
+    afresh each time it is asked for, even where it equals a member.
 
     Every measure law but section_iff ends in one of the comparisons
     equal, all_equal, equal_sum, zero or at_most.  Each returns the
@@ -367,26 +371,32 @@ class _MeasureCtx:
         self.measure = measure
         self.name = measure.name
         self.tol = tolerance + measure.slack
-        self.corpus_set = frozenset()
-        self._vals: dict = {}
-        self._exacts: dict = {}
+        self._positions: dict = {}
+        self._vals: list = []
+        self._exacts: list = []
+
+    def attach(self, corpus: "_Corpus") -> None:
+        """Cache the values of corpus's members from now on."""
+        self._positions = corpus.positions
+        self._vals = [_MISSING] * len(corpus.morphisms)
+        self._exacts = [_MISSING] * len(corpus.morphisms)
 
     def value(self, m):
-        v = self._vals.get(m, _MISSING)
-        if v is not _MISSING:
-            return v
-        v = value_of(self.measure, m)
-        if m in self.corpus_set:
-            self._vals[m] = v
+        k = self._positions.get(id(m))
+        if k is None:
+            return value_of(self.measure, m)
+        v = self._vals[k]
+        if v is _MISSING:
+            v = self._vals[k] = value_of(self.measure, m)
         return v
 
     def exact(self, m):
-        e = self._exacts.get(m, _MISSING)
-        if e is not _MISSING:
-            return e
-        e = exact_of(self.measure, m)
-        if m in self.corpus_set:
-            self._exacts[m] = e
+        k = self._positions.get(id(m))
+        if k is None:
+            return exact_of(self.measure, m)
+        e = self._exacts[k]
+        if e is _MISSING:
+            e = self._exacts[k] = exact_of(self.measure, m)
         return e
 
     def same(self, m1, m2, v1, v2) -> bool:
@@ -468,8 +478,8 @@ class _Pair:
     """The internal product of two tuple members, with each measure's
     value of it computed on first use.
 
-    A product of two corpus members usually lies outside the corpus, so
-    the _MeasureCtx caches never hold its values.
+    The engine built the product, so it is no corpus member and the
+    _MeasureCtx tables never hold its values.
     """
 
     __slots__ = ("morphism", "_vals")
@@ -533,7 +543,6 @@ class _Corpus:
     """
 
     morphisms: tuple
-    members: frozenset
     blocks: dict
     offsets: dict
     # id(m) -> index of m in morphisms; the tuple keeps every id valid.
@@ -565,7 +574,7 @@ def _morphism_corpus(ops, limits: Limits, budget: int) -> _Corpus:
             accumulate((prod(map(len, b)) for b in blocks[kind]), initial=0)
         )
     positions = {id(m): k for k, m in enumerate(morphisms)}
-    return _Corpus(morphisms, frozenset(morphisms), blocks, offsets, positions)
+    return _Corpus(morphisms, blocks, offsets, positions)
 
 
 @lru_cache(maxsize=1)
@@ -626,7 +635,7 @@ class _Engine:
         if self._corpus_cache is None:
             self._corpus_cache = _morphism_corpus(self.ops, self.limits, self.config.budget)
             for mctx in self.mctxs:
-                mctx.corpus_set = self._corpus_cache.members
+                mctx.attach(self._corpus_cache)
         return self._corpus_cache
 
     def _terminal(self):
@@ -713,15 +722,13 @@ class _Engine:
         contexts = self.mctxs if check.needs_measure else [None]
         channels = [self._eval_channel(check, mctx) for mctx in contexts]
         seed = self.config.seed
+        rngs = None
         self._pairs = {} if self.config.mode == "exhaustive" else None
         try:
             for trial_index, parts in enumerate(stream):
-                memo: dict = {}
-                for mctx, channel in zip(contexts, channels):
-                    rng = (
-                        trial_rng(seed, channel, trial_index) if check.uses_rng else None
-                    )
-                    out = evaluator(mctx, rng, parts, memo)
+                if check.uses_rng:
+                    rngs = [trial_rng(seed, channel, trial_index) for channel in channels]
+                for mctx, out in zip(contexts, evaluator(contexts, parts, rngs)):
                     if out is SKIP:
                         skipped += 1
                         continue
@@ -783,14 +790,16 @@ class _Engine:
             raise ReplayMismatch(f"check {check.name} requires a measure name")
         with cfg.log_base(self.config.log_base):
             parts = self._parts_at(check, recorded.trial_index)
-            rng = None
+            rngs = None
             if check.uses_rng:
-                rng = trial_rng(
-                    self.config.seed,
-                    self._eval_channel(check, mctx),
-                    recorded.trial_index,
-                )
-            out = getattr(self, f"_eval_{check.name}")(mctx, rng, parts, {})
+                rngs = [
+                    trial_rng(
+                        self.config.seed,
+                        self._eval_channel(check, mctx),
+                        recorded.trial_index,
+                    )
+                ]
+            (out,) = getattr(self, f"_eval_{check.name}")([mctx], parts, rngs)
         if out is SKIP or out is None:
             raise ReplayMismatch(
                 f"{check.name} trial {recorded.trial_index} shows no violation on replay"
@@ -866,33 +875,33 @@ class _Engine:
         }
 
     # -- evaluators ---------------------------------------------------------
-    # Each returns None (law holds), SKIP (not applicable), or _Fail.  A
-    # measure law builds its morphisms and ends in a _MeasureCtx comparison.
+    # Each evaluates one tuple for every measure context at once and
+    # returns one outcome per context, in order: None (law holds), SKIP
+    # (not applicable), or _Fail.  The morphisms built from the tuple alone
+    # are built once and shared by the contexts; a measure law ends in a
+    # _MeasureCtx comparison per context.  The conjugation checks get one
+    # stream per context in rngs and draw from each on its own, so every
+    # context sees the draws it would see audited alone.
 
     def _conjugate(self, f, a, b):
         """b f a^-1: an arrow isomorphic to f through the isos a on its
         domain and b on its codomain."""
         return self.ops.compose(b.forward, self.ops.compose(f, a.backward))
 
-    @staticmethod
-    def _once(memo: dict, key: str, build):
-        """Tuple-derived morphisms do not depend on the measure; build them
-        once and reuse across the measure contexts.  Anything rng-dependent
-        stays out of the memo because each measure has its own stream."""
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
-
-    def _eval_invariance(self, mctx, rng, parts, memo):
+    def _eval_invariance(self, mctxs, parts, rngs):
         (f,) = parts
-        a = self.ops.random_iso_out(rng, f.domain)
-        b = self.ops.random_iso_out(rng, f.codomain)
-        return mctx.equal(self._conjugate(f, a, b), f)
+        ops = self.ops
+        outs = []
+        for mctx, rng in zip(mctxs, rngs):
+            a = ops.random_iso_out(rng, f.domain)
+            b = ops.random_iso_out(rng, f.codomain)
+            outs.append(mctx.equal(self._conjugate(f, a, b), f))
+        return outs
 
-    def _eval_external_additivity(self, mctx, rng, parts, memo):
+    def _eval_external_additivity(self, mctxs, parts, rngs):
         f, g = parts
-        p = self._once(memo, "product", lambda: self.ops.external_product(f, g))
-        return mctx.equal_sum(p, f, g)
+        p = self.ops.external_product(f, g)
+        return [mctx.equal_sum(p, f, g) for mctx in mctxs]
 
     def _internal_pair(self, x, y) -> _Pair:
         """<x, y> with its values: from the run's pair memo when one is
@@ -907,156 +916,137 @@ class _Engine:
             pair = pairs[key] = _Pair(self.ops.internal_product(x, y))
         return pair
 
-    def _eval_internal_strong_subadditivity(self, mctx, rng, parts, memo):
+    def _eval_internal_strong_subadditivity(self, mctxs, parts, rngs):
         f, g, h = parts
-        fg = self._once(memo, "fg", lambda: self._internal_pair(f, g))
-        gh = self._once(memo, "gh", lambda: self._internal_pair(g, h))
+        fg = self._internal_pair(f, g)
+        gh = self._internal_pair(g, h)
         if is_undefined(fg.morphism) or is_undefined(gh.morphism):
-            return SKIP
-        fgh = self._once(memo, "fgh", lambda: self.ops.internal_product(fg.morphism, h))
+            return [SKIP] * len(mctxs)
+        fgh = self.ops.internal_product(fg.morphism, h)
         if is_undefined(fgh):
-            return SKIP
-        return mctx.at_most(
-            mctx.value(fgh), fg.value(mctx), gh.value(mctx), minus=mctx.value(g)
-        )
+            return [SKIP] * len(mctxs)
+        return [
+            mctx.at_most(mctx.value(fgh), fg.value(mctx), gh.value(mctx), minus=mctx.value(g))
+            for mctx in mctxs
+        ]
 
-    def _eval_data_processing(self, mctx, rng, parts, memo):
+    def _eval_data_processing(self, mctxs, parts, rngs):
         f, g = parts
-        gf = self._once(memo, "composite", lambda: self.ops.compose(g, f))
-        return mctx.at_most(mctx.value(gf), mctx.value(f))
+        gf = self.ops.compose(g, f)
+        return [mctx.at_most(mctx.value(gf), mctx.value(f)) for mctx in mctxs]
 
-    def _eval_section_iff(self, mctx, rng, parts, memo):
+    def _eval_section_iff(self, mctxs, parts, rngs):
         f, g = parts
-        gf = self._once(memo, "composite", lambda: self.ops.compose(g, f))
-        vgf, vf = mctx.value(gf), mctx.value(f)
-        if is_undefined(vgf) or is_undefined(vf):
-            return SKIP
-        has_section = self._once(
-            memo, "section", lambda: self.ops.section_exists(f, g)
-        )
-        if has_section == mctx.same(gf, f, vgf, vf):
-            return None
-        return _Fail(vgf, vf, abs(vgf - vf))
+        gf = self.ops.compose(g, f)
+        has_section = None
+        outs = []
+        for mctx in mctxs:
+            vgf, vf = mctx.value(gf), mctx.value(f)
+            if is_undefined(vgf) or is_undefined(vf):
+                outs.append(SKIP)
+                continue
+            if has_section is None:
+                has_section = self.ops.section_exists(f, g)
+            held = has_section == mctx.same(gf, f, vgf, vf)
+            outs.append(None if held else _Fail(vgf, vf, abs(vgf - vf)))
+        return outs
 
-    def _eval_destination_matching(self, mctx, rng, parts, memo):
+    def _eval_destination_matching(self, mctxs, parts, rngs):
         (f,) = parts
-        ident = self._once(memo, "identity", lambda: self.ops.identity(f.codomain))
-        return mctx.at_most(mctx.value(f), mctx.value(ident))
+        ident = self.ops.identity(f.codomain)
+        return [mctx.at_most(mctx.value(f), mctx.value(ident)) for mctx in mctxs]
 
-    def _eval_source_matching(self, mctx, rng, parts, memo):
+    def _eval_source_matching(self, mctxs, parts, rngs):
         (f,) = parts
-        ident = self._once(memo, "identity", lambda: self.ops.identity(f.domain))
-        return mctx.at_most(mctx.value(f), mctx.value(ident))
+        ident = self.ops.identity(f.domain)
+        return [mctx.at_most(mctx.value(f), mctx.value(ident)) for mctx in mctxs]
 
-    def _eval_iso_well_defined(self, mctx, rng, parts, memo):
+    def _eval_iso_well_defined(self, mctxs, parts, rngs):
         f, g = parts
         ops = self.ops
-        # Draw all conjugating isos up front so the rng stream does not
-        # depend on which sub-cases apply.
-        a, b, c, d = (
-            ops.random_iso_out(rng, x) for x in (f.domain, f.codomain, g.domain, g.codomain)
-        )
-        f2 = self._conjugate(f, a, b)
-
-        def pairs():
-            p = self._once(memo, "product", lambda: ops.external_product(f, g))
-            yield p, ops.external_product(f2, self._conjugate(g, c, d))
-            if f.domain == g.domain:
-                # <f, g> existing on one side only fails, as a one-sided value does.
-                q = self._once(memo, "internal", lambda: ops.internal_product(f, g))
-                yield q, ops.internal_product(f2, self._conjugate(g, a, d))
-            if f.codomain == g.domain:
-                comp = self._once(memo, "composite", lambda: ops.compose(g, f))
-                yield comp, ops.compose(self._conjugate(g, b, d), f2)
-
-        return mctx.all_equal(pairs())
-
-    def _eval_internal_monotonicity(self, mctx, rng, parts, memo):
-        f, g = parts
-        p = self._once(memo, "internal", lambda: self.ops.internal_product(f, g))
-        if is_undefined(p):
-            return SKIP
-        return mctx.at_most(mctx.value(f), mctx.value(p))
-
-    def _eval_internal_idempotence(self, mctx, rng, parts, memo):
-        (f,) = parts
-        p = self._once(memo, "internal", lambda: self.ops.internal_product(f, f))
-        if is_undefined(p):
-            return SKIP
-        return mctx.equal(p, f)
-
-    def _eval_internal_subadditivity(self, mctx, rng, parts, memo):
-        f, g = parts
-        p = self._once(memo, "internal", lambda: self.ops.internal_product(f, g))
-        if is_undefined(p):
-            return SKIP
-        return mctx.at_most(mctx.value(p), mctx.value(f), mctx.value(g))
-
-    def _eval_unit_product_identity(self, mctx, rng, parts, memo):
-        (f,) = parts
-        term = self._terminal()
-
-        def pairs():
-            ext = self._once(
-                memo, "with_unit", lambda: self.ops.external_product(f, self.ops.identity(term))
+        product = ops.external_product(f, g)
+        # <f, g> existing on one side only fails, as a one-sided value does.
+        internal = ops.internal_product(f, g) if f.domain == g.domain else None
+        composite = ops.compose(g, f) if f.codomain == g.domain else None
+        outs = []
+        for mctx, rng in zip(mctxs, rngs):
+            # Draw all conjugating isos up front so the stream does not
+            # depend on which sub-cases apply.
+            a, b, c, d = (
+                ops.random_iso_out(rng, x) for x in (f.domain, f.codomain, g.domain, g.codomain)
             )
-            yield ext, f
-            intr = self._once(
-                memo,
-                "with_throwaway",
-                lambda: self.ops.internal_product(f, self.ops.unique_to_terminal(f.domain)),
-            )
-            # A missing <f, !> is a skip, not a failure.
-            if not is_undefined(intr):
-                yield intr, f
+            f2 = self._conjugate(f, a, b)
+            pairs = [(product, ops.external_product(f2, self._conjugate(g, c, d)))]
+            if internal is not None:
+                pairs.append((internal, ops.internal_product(f2, self._conjugate(g, a, d))))
+            if composite is not None:
+                pairs.append((composite, ops.compose(self._conjugate(g, b, d), f2)))
+            outs.append(mctx.all_equal(pairs))
+        return outs
 
-        return mctx.all_equal(pairs())
+    def _eval_internal_monotonicity(self, mctxs, parts, rngs):
+        f, g = parts
+        p = self.ops.internal_product(f, g)
+        if is_undefined(p):
+            return [SKIP] * len(mctxs)
+        return [mctx.at_most(mctx.value(f), mctx.value(p)) for mctx in mctxs]
 
-    def _eval_zero_at_terminal(self, mctx, rng, parts, memo):
+    def _eval_internal_idempotence(self, mctxs, parts, rngs):
+        (f,) = parts
+        p = self.ops.internal_product(f, f)
+        if is_undefined(p):
+            return [SKIP] * len(mctxs)
+        return [mctx.equal(p, f) for mctx in mctxs]
+
+    def _eval_internal_subadditivity(self, mctxs, parts, rngs):
+        f, g = parts
+        p = self.ops.internal_product(f, g)
+        if is_undefined(p):
+            return [SKIP] * len(mctxs)
+        return [mctx.at_most(mctx.value(p), mctx.value(f), mctx.value(g)) for mctx in mctxs]
+
+    def _eval_unit_product_identity(self, mctxs, parts, rngs):
+        (f,) = parts
+        ops = self.ops
+        pairs = [(ops.external_product(f, ops.identity(self._terminal())), f)]
+        intr = ops.internal_product(f, ops.unique_to_terminal(f.domain))
+        # A missing <f, !> is a skip, not a failure.
+        if not is_undefined(intr):
+            pairs.append((intr, f))
+        return [mctx.all_equal(pairs) for mctx in mctxs]
+
+    def _eval_zero_at_terminal(self, mctxs, parts, rngs):
         (a,) = parts
-        term = self._terminal()
-        pair = self._once(
-            memo,
-            "arrows",
-            lambda: (self.ops.identity(term), self.ops.unique_to_terminal(a)),
-        )
-        return mctx.zero(*pair)
+        arrows = (self.ops.identity(self._terminal()), self.ops.unique_to_terminal(a))
+        return [mctx.zero(*arrows) for mctx in mctxs]
 
-    def _eval_projection_irrelevance(self, mctx, rng, parts, memo):
+    def _eval_projection_irrelevance(self, mctxs, parts, rngs):
         f, a = parts
+        _, p1, _ = self.ops.product_object(f.domain, a)
+        comp = self.ops.compose(f, p1)
+        return [mctx.equal(comp, f) for mctx in mctxs]
 
-        def build():
-            _, p1, _ = self.ops.product_object(f.domain, a)
-            return self.ops.compose(f, p1)
-
-        comp = self._once(memo, "through_projection", build)
-        return mctx.equal(comp, f)
-
-    def _eval_terminal_structure(self, mctx, rng, parts, memo):
+    def _eval_terminal_structure(self, mctxs, parts, rngs):
         (f,) = parts
-        term = self._terminal()
-        ext = self.ops.external_product(f, self.ops.identity(term))
-        if self.ops.arrow_iso(ext, f) is None:
-            return _Fail(0.0, 1.0, 1.0)
-        intr = self.ops.internal_product(f, self.ops.unique_to_terminal(f.domain))
-        if not is_undefined(intr) and not self.ops.coslice_iso(intr, f):
-            return _Fail(0.0, 1.0, 1.0)
-        return None
+        ops = self.ops
+        ext = ops.external_product(f, ops.identity(self._terminal()))
+        if ops.arrow_iso(ext, f) is None:
+            return [_Fail(0.0, 1.0, 1.0)]
+        intr = ops.internal_product(f, ops.unique_to_terminal(f.domain))
+        if not is_undefined(intr) and not ops.coslice_iso(intr, f):
+            return [_Fail(0.0, 1.0, 1.0)]
+        return [None]
 
-    def _eval_projection_via_terminal(self, mctx, rng, parts, memo):
+    def _eval_projection_via_terminal(self, mctxs, parts, rngs):
         a, b = parts
-        _, _, p2 = self.ops.product_object(a, b)
-        throw = self.ops.external_product(
-            self.ops.unique_to_terminal(a), self.ops.identity(b)
-        )
-        if self.ops.coslice_iso(p2, throw):
-            return None
-        return _Fail(0.0, 1.0, 1.0)
+        ops = self.ops
+        _, _, p2 = ops.product_object(a, b)
+        throw = ops.external_product(ops.unique_to_terminal(a), ops.identity(b))
+        return [None if ops.coslice_iso(p2, throw) else _Fail(0.0, 1.0, 1.0)]
 
-    def _eval_internal_product_existence(self, mctx, rng, parts, memo):
+    def _eval_internal_product_existence(self, mctxs, parts, rngs):
         f, g = parts
-        p = self._once(memo, "internal", lambda: self.ops.internal_product(f, g))
-        return SKIP if is_undefined(p) else None
+        return [SKIP if is_undefined(self.ops.internal_product(f, g)) else None]
 
 
 # ----------------------------------------------------------------------

@@ -215,7 +215,7 @@ class _WeightedPointMaps(PointMapCategory):
         # independently; otherwise the product does not exist here.
         if not check_bmp(mapping, self.weights(domain), self.weights(codomain)):
             return UNDEFINED
-        return self.morphism(domain, codomain, mapping)
+        return self.build(domain, codomain, mapping)
 
     def section_exists(self, f, g) -> bool:
         if f.codomain != g.domain:

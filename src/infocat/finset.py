@@ -21,13 +21,22 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import config, pointmap
-from .core import ArrowIso, CategoryId, IsoWitness, Limits, int_from_json, register
+from .core import (
+    ArrowIso,
+    CategoryId,
+    IsoWitness,
+    Limits,
+    int_from_json,
+    rational_from_json,
+    register,
+)
 from .errors import (
     DomainMismatch,
     EmptyDomain,
     InvalidMorphism,
     InvalidObject,
     NegativeCoefficient,
+    UnknownMeasure,
 )
 from .exact import LogVal
 from .measures import InfoMeasure, register_factory, register_measure
@@ -82,14 +91,33 @@ def finset_morphism(mapping, codomain_size: int) -> FinSetMorphism:
     return FinSetMorphism(FinSetObject(len(mapping)), FinSetObject(codomain_size), tuple(mapping))
 
 
+@lru_cache(maxsize=4096)
+def _sized(n: int) -> FinSetObject:
+    """The one shared object of size n that products and terminal maps
+    are built over."""
+    return FinSetObject(n)
+
+
+def _fibers(m: FinSetMorphism) -> tuple[int, ...]:
+    """Sizes of the nonempty fibers, ascending; computed once per
+    morphism and kept on it."""
+    d = m.__dict__
+    fibers = d.get("_fibers")
+    if fibers is None:
+        fibers = d["_fibers"] = tuple(sorted(Counter(m.mapping).values()))
+    return fibers
+
+
+# The measures read _fibers; this cache, keyed on whole morphisms, is kept
+# for callers outside the package and for the benchmark's cache report.
 @lru_cache(maxsize=65536)
 def fiber_sizes(m: FinSetMorphism) -> tuple[int, ...]:
     """Sizes of the nonempty fibers, ascending."""
-    return tuple(sorted(Counter(m.mapping).values()))
+    return _fibers(m)
 
 
 def image_size(m: FinSetMorphism) -> int:
-    return len(fiber_sizes(m))
+    return len(_fibers(m))
 
 
 # Entropy depends only on the fiber multiset; exhaustive audits evaluate
@@ -130,7 +158,7 @@ def shannon(m: FinSetMorphism) -> float:
     n = m.domain.size
     if n == 0:
         raise EmptyDomain("shannon information needs a nonempty source")
-    return _shannon_of(fiber_sizes(m), n, config.get_log_base())
+    return _shannon_of(_fibers(m), n, config.get_log_base())
 
 
 def hartley_exact(m: FinSetMorphism) -> LogVal:
@@ -143,7 +171,7 @@ def shannon_exact(m: FinSetMorphism) -> LogVal:
     n = m.domain.size
     if n == 0:
         raise EmptyDomain("shannon information needs a nonempty source")
-    return _shannon_exact_of(fiber_sizes(m), n)
+    return _shannon_exact_of(_fibers(m), n)
 
 
 def _kernel_signature(mapping: tuple[int, ...]) -> tuple[int, ...]:
@@ -163,18 +191,28 @@ class FinSetCategory(PointMapCategory):
     def points(obj: FinSetObject) -> int:
         return obj.size
 
+    def build(self, domain: FinSetObject, codomain: FinSetObject, mapping) -> FinSetMorphism:
+        # Point arithmetic on valid maps yields a valid map, so the result
+        # skips the dataclass init and its per-point range check.
+        m = object.__new__(FinSetMorphism)
+        d = m.__dict__
+        d["domain"] = domain
+        d["codomain"] = codomain
+        d["mapping"] = mapping
+        return m
+
     def product_space(self, a: FinSetObject, b: FinSetObject) -> FinSetObject:
-        return FinSetObject(a.size * b.size)
+        return _sized(a.size * b.size)
 
     def relabeled(self, rng, obj: FinSetObject, perm) -> FinSetObject:
         return obj
 
     def terminal_object(self) -> FinSetObject:
-        return FinSetObject(1)
+        return _sized(1)
 
     # -- isomorphism --------------------------------------------------
     def iso_invariant(self, f: FinSetMorphism):
-        return (f.domain.size, f.codomain.size, fiber_sizes(f))
+        return (f.domain.size, f.codomain.size, _fibers(f))
 
     def arrow_iso(self, f: FinSetMorphism, g: FinSetMorphism, budget: int = 100_000):
         if self.iso_invariant(f) != self.iso_invariant(g):
@@ -280,7 +318,7 @@ def afn_combination(lam, mu) -> InfoMeasure:
     def exact(m: FinSetMorphism) -> LogVal:
         if m.domain.size == 0:
             raise EmptyDomain("combined information needs a nonempty source")
-        return _afn_exact_of(lam, mu, fiber_sizes(m), m.domain.size)
+        return _afn_exact_of(lam, mu, _fibers(m), m.domain.size)
 
     return register_measure(InfoMeasure(name, CategoryId.FINSET, value, exact))
 
@@ -288,8 +326,14 @@ def afn_combination(lam, mu) -> InfoMeasure:
 def _afn_factory(args: str) -> InfoMeasure:
     parts = [p.strip() for p in args.split(",")]
     if len(parts) != 2:
-        raise ValueError(f"afn takes two coefficients, got {args!r}")
-    return afn_combination(Fraction(parts[0]), Fraction(parts[1]))
+        raise UnknownMeasure(f"afn takes two coefficients, got {args!r}")
+    coefficients = [rational_from_json(p, "afn coefficient", UnknownMeasure) for p in parts]
+    for q in coefficients:
+        try:
+            float(q)
+        except OverflowError:
+            raise UnknownMeasure(f"afn coefficient {q} is out of float range") from None
+    return afn_combination(*coefficients)
 
 
 register_measure(InfoMeasure("shannon", CategoryId.FINSET, shannon, shannon_exact))

@@ -242,6 +242,9 @@ def _with_identity(field: FieldSpec, rows) -> list[list]:
     return [list(r) + list(e) for r, e in zip(rows, _unit_rows(field, n, range(n)))]
 
 
+# random_iso_out draws matrices until one is invertible, and small fields
+# have few matrices of each size, so the same ones recur throughout an audit.
+@lru_cache(maxsize=16384)
 def _inverse(field: FieldSpec, rows):
     """Inverse of a square matrix given as tuple rows; None if singular."""
     n = len(rows)

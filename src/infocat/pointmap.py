@@ -135,7 +135,9 @@ class PointMapCategory(Category):
     """Category structure common to the point-map categories.
 
     morphism is the morphism class, built as morphism(domain, codomain,
-    mapping); its constructor validates the decoration.
+    mapping); its constructor validates the decoration.  The structure
+    below builds its results through build, which a category may make
+    skip that validation.
     """
 
     morphism: type
@@ -155,22 +157,28 @@ class PointMapCategory(Category):
         what else the decoration needs from rng."""
         raise NotImplementedError
 
+    def build(self, domain, codomain, mapping):
+        """The morphism that the arithmetic below computed from valid
+        morphisms and objects; a category whose decoration that
+        arithmetic always keeps valid may skip the constructor's checks."""
+        return self.morphism(domain, codomain, mapping)
+
     # -- structure ----------------------------------------------------
     def compose(self, g, f):
         if f.codomain != g.domain:
             raise ObjectMismatch(f"cannot compose: middle objects {f.codomain} != {g.domain}")
-        return self.morphism(f.domain, g.codomain, compose(g.mapping, f.mapping))
+        return self.build(f.domain, g.codomain, compose(g.mapping, f.mapping))
 
     def identity(self, obj):
-        return self.morphism(obj, obj, identity(self.points(obj)))
+        return self.build(obj, obj, identity(self.points(obj)))
 
     def product_object(self, x, y):
         prod = self.product_space(x, y)
         p1, p2 = projections(self.points(x), self.points(y))
-        return prod, self.morphism(prod, x, p1), self.morphism(prod, y, p2)
+        return prod, self.build(prod, x, p1), self.build(prod, y, p2)
 
     def external_product(self, f, g):
-        return self.morphism(
+        return self.build(
             self.product_space(f.domain, g.domain),
             self.product_space(f.codomain, g.codomain),
             external(f.mapping, g.mapping, self.points(g.codomain)),
@@ -188,16 +196,16 @@ class PointMapCategory(Category):
     def pairing(self, domain, codomain, mapping):
         """The internal product as a morphism, or UNDEFINED where the
         category has none."""
-        return self.morphism(domain, codomain, mapping)
+        return self.build(domain, codomain, mapping)
 
     def unique_to_terminal(self, obj):
-        return self.morphism(obj, self.terminal_object(), (0,) * self.points(obj))
+        return self.build(obj, self.terminal_object(), (0,) * self.points(obj))
 
     # -- isomorphism --------------------------------------------------
     def random_iso_out(self, rng, obj) -> IsoWitness:
         perm = random_permutation(rng, self.points(obj))
         target = self.relabeled(rng, obj, perm)
-        return IsoWitness(self.morphism(obj, target, perm), self.morphism(target, obj, invert(perm)))
+        return IsoWitness(self.build(obj, target, perm), self.build(target, obj, invert(perm)))
 
     # -- sections -----------------------------------------------------
     def section_exists(self, f, g) -> bool:

@@ -84,6 +84,15 @@ class TestAudit:
         assert code == 2
         assert "error:" in err
 
+    def test_malformed_afn_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys,
+            "audit", "--category", "finset", "--measure", "afn(1)",
+            "--mode", "exhaustive", "--max-size", "2",
+        )
+        assert code == 2
+        assert "afn takes two coefficients" in err
+
     def test_unknown_category_rejected_by_parser(self, capsys):
         code, _, err = run(capsys, "audit", "--category", "posets")
         assert code == 2
@@ -189,6 +198,15 @@ class TestReplay:
         assert "not a valid audit report" in err
         assert key in err
 
+    def test_malformed_afn_in_config_is_input_error(self, capsys, tmp_path):
+        path = write_broken_report(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["config"]["measures"].append("afn(1/0,1)")
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "replay", "--report", str(path), "--index", "0")
+        assert code == 2
+        assert "afn coefficient must be" in err
+
     def test_not_a_report(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"schema": "infocat-report/1"}')
@@ -256,6 +274,30 @@ class TestInfo:
         code, _, err = run(capsys, "info", "--input", str(path), "--measure", "gibberish")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("afn(x,1)", "afn coefficient must be"),
+            ("afn(1)", "afn takes two coefficients"),
+            ("afn(1,2,3)", "afn takes two coefficients"),
+            ("afn(1/0,1)", "afn coefficient must be"),
+            ("afn(1e400,1)", "afn coefficient must be"),
+            pytest.param("afn(1" + "0" * 400 + ",1)", "out of float range", id="afn(10**400,1)"),
+            ("afn(-1,1)", "must be >= 0"),
+        ],
+    )
+    def test_malformed_afn_is_input_error(self, capsys, tmp_path, name, message):
+        path = self.write_morphism(tmp_path, finset_morphism((0,), 1))
+        code, _, err = run(capsys, "info", "--input", str(path), "--measure", name)
+        assert code == 2
+        assert message in err
+
+    def test_afn_name_is_canonical(self, capsys, tmp_path):
+        path = self.write_morphism(tmp_path, finset_morphism((0, 1), 2))
+        code, out, _ = run(capsys, "info", "--input", str(path), "--measure", "afn(2, 0.5)")
+        assert code == 0
+        assert out == "2.5\n"
 
     def test_stdin_malformed(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[1,"))
