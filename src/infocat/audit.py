@@ -21,9 +21,11 @@ same.  Undefined values and products that do not exist in a category
 are counted as skips, never as passes or failures, except that an
 equality with a value on one side only fails.
 
-With several measures configured, each generated tuple is evaluated
-once per applicable measure, so checks_run counts (tuple, measure)
-evaluations and checks_run + skipped_undefined = tuples * measures.
+With several measures configured, each generated tuple goes to the
+check's evaluator once, which builds the tuple's morphisms and decides
+the law for every measure; checks_run counts (tuple, measure)
+evaluations and checks_run + skipped_undefined = tuples * measures.  A
+measure's verdicts and draws do not depend on the other measures.
 
 The process keeps its most recent exhaustive corpus, so consecutive
 audits and replays of one (category, limits, budget) enumerate it once;
@@ -35,9 +37,13 @@ from its own seeded stream.
 What is memoized, and for how long:
 
 * per tuple, every check: morphisms built from the tuple alone
-  (products, composites) are shared by the measures evaluating it;
+  (products, composites) are locals of the one evaluator call that
+  decides the law for every measure;
 * per audit: each measure's float and exact value of every corpus
-  member (_MeasureCtx);
+  member (_MeasureCtx), in tables indexed by corpus position.  A
+  morphism the engine built is measured afresh each time, even where it
+  equals a member: looking it up by value would hash it, which costs
+  more than measuring it on the finset corpora;
 * per check, exhaustive internal_strong_subadditivity only: the pair
   products <f, g> and <g, h> of two corpus members, and each measure's
   value of them (_Pair), keyed on corpus positions.  A triple check has
