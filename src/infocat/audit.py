@@ -381,7 +381,7 @@ class _MeasureCtx:
         self._vals: list = []
         self._exacts: list = []
 
-    def attach(self, corpus: "_Corpus") -> None:
+    def attach(self, corpus: _Corpus) -> None:
         """Cache the values of corpus's members from now on."""
         self._positions = corpus.positions
         self._vals = [_MISSING] * len(corpus.morphisms)
