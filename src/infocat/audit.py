@@ -193,6 +193,14 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed law: the check, the measure, the tuple's members as JSON
+    (morphism envelopes, or {"category", "object"}), the compared values
+    and where the tuple sits in its stream.
+
+    Within one exhaustive report, violations naming the same corpus member
+    share one member dict, so the member dicts are read-only.
+    """
+
     check: str
     measure: str | None
     morphisms: tuple
@@ -613,6 +621,10 @@ class _Engine:
         # Corpus positions of (x, y) -> _Pair while an exhaustive check
         # runs (only internal_strong_subadditivity fills it); None otherwise.
         self._pairs: dict | None = None
+        # Corpus position -> the member's JSON dict while run() runs an
+        # exhaustive audit, shared by every violation naming that member;
+        # None otherwise, so random audits and replays serialize afresh.
+        self._member_json: dict | None = None
         self.mctxs = [
             _MeasureCtx(get_measure(config.category, name), config.tolerance)
             for name in config.measures
@@ -696,10 +708,14 @@ class _Engine:
 
     # -- run --------------------------------------------------------------
     def run(self) -> AuditReport:
-        with cfg.log_base(self.config.log_base):
-            for check in self.checks:
-                self._run_check(check)
-            self._collect_findings()
+        self._member_json = {} if self.config.mode == "exhaustive" else None
+        try:
+            with cfg.log_base(self.config.log_base):
+                for check in self.checks:
+                    self._run_check(check)
+                self._collect_findings()
+        finally:
+            self._member_json = None
         return AuditReport(
             config=self.config,
             checks_run=self.checks_run,
@@ -769,7 +785,13 @@ class _Engine:
     def _serialize_part(self, factor: str, part) -> dict:
         """part, the tuple member drawn from factor of its kind's _SHAPES."""
         if factor != "O":
-            return jsonio.morphism_to_json(part)
+            if self._member_json is None:
+                return jsonio.morphism_to_json(part)
+            k = self._corpus_cache.positions[id(part)]
+            data = self._member_json.get(k)
+            if data is None:
+                data = self._member_json[k] = jsonio.morphism_to_json(part)
+            return data
         return {
             "category": self.config.category.value,
             "object": self.ops.object_to_json(part),

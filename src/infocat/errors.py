@@ -40,6 +40,10 @@ class NegativeCoefficient(InfoCatError, ValueError):
 class UnknownMeasure(InfoCatError, KeyError):
     """A measure name is not registered for the requested category."""
 
+    def __str__(self) -> str:
+        # KeyError's str() is the repr of the message; show the message.
+        return Exception.__str__(self)
+
 
 class InvalidChannel(InfoCatError, ValueError):
     """A channel matrix is not row-stochastic within tolerance."""

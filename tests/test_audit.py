@@ -43,6 +43,7 @@ from infocat.errors import (
 )
 from infocat.finset import FINSET, Limits, finset_morphism
 from infocat.finvect import parse_field
+from infocat import jsonio
 from infocat.jsonio import dumps, morphism_to_json
 from infocat.measures import get_measure, value_of
 
@@ -405,6 +406,58 @@ class TestReplay:
         )
         with pytest.raises(ReplayMismatch, match="no violation on replay"):
             replay(swapped, 0)
+
+
+class TestMemberSerialization:
+    """An exhaustive audit serializes each corpus member once and every
+    violation naming it shares that dict; a random audit serializes each
+    member of each violation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return morphism_to_json(f)
+
+        monkeypatch.setattr(jsonio, "morphism_to_json", counting)
+        return calls
+
+    def test_exhaustive_serializes_each_member_once(self, calls):
+        config = finset_config(measures=("broken_constant", "broken_source_size"))
+        report = audit_all(config)
+        assert len(report.violations) == 128
+        engine = _Engine(config, ALL_CHECKS)
+        corpus = set(engine._corpus().morphisms)
+        assert len(set(calls)) == len(calls)
+        assert set(calls) <= corpus
+        shared = {
+            id(data) for v in report.violations for data in v.morphisms if "payload" in data
+        }
+        assert len(shared) == len(calls)
+        for v in report.violations:
+            parts = engine._parts_at(_CHECKS[v.check], v.trial_index)
+            assert len(parts) == len(v.morphisms)
+            for data, part in zip(v.morphisms, parts):
+                if "payload" in data:
+                    assert data == morphism_to_json(part)
+
+    def test_random_serializes_every_member(self, calls):
+        report = audit_all(
+            AuditConfig(
+                category=CategoryId.FINSET,
+                measures=("broken_source_size",),
+                mode="random",
+                max_size=5,
+                trials=100,
+                seed=7,
+            )
+        )
+        members = [data for v in report.violations for data in v.morphisms if "payload" in data]
+        assert members
+        assert len(calls) == len(members)
+        assert len({id(data) for data in members}) == len(members)
 
 
 def reference_stream(ops, limits, kind):

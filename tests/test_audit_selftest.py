@@ -25,6 +25,7 @@ class TestBrokenConstant:
     # collapse a two-point image, which takes 2 surjective f's times 3
     # non-injective g's. The terminal identity scores 1 instead of 0 for
     # both objects.
+    @pytest.fixture(scope="class")
     def report(self):
         config = AuditConfig(
             category=CategoryId.FINSET,
@@ -34,8 +35,7 @@ class TestBrokenConstant:
         )
         return audit_all(config)
 
-    def test_exact_violation_census(self):
-        report = self.report()
+    def test_exact_violation_census(self, report):
         assert not report.ok
         assert count_by_check(report) == {
             "external_additivity": 64,
@@ -44,13 +44,11 @@ class TestBrokenConstant:
         }
         assert len(report.violations) == 72
 
-    def test_every_violation_replays(self):
-        report = self.report()
+    def test_every_violation_replays(self, report):
         for index in range(len(report.violations)):
             assert replay(report, index) == report.violations[index]
 
-    def test_lawful_checks_stay_clean(self):
-        report = self.report()
+    def test_lawful_checks_stay_clean(self, report):
         fired = set(count_by_check(report))
         for name in ("invariance", "data_processing", "internal_monotonicity",
                      "source_matching", "destination_matching"):
@@ -58,6 +56,7 @@ class TestBrokenConstant:
 
 
 class TestBrokenSourceSize:
+    @pytest.fixture(scope="class")
     def report(self):
         config = AuditConfig(
             category=CategoryId.FINSET,
@@ -69,10 +68,9 @@ class TestBrokenSourceSize:
         )
         return audit_all(config)
 
-    def test_pinned_census(self):
+    def test_pinned_census(self, report):
         # Regression pin: any change to the generators or the measure
         # shifts these numbers.
-        report = self.report()
         assert count_by_check(report) == {
             "zero_at_terminal": 100,
             "external_additivity": 93,
@@ -82,17 +80,15 @@ class TestBrokenSourceSize:
         }
         assert len(report.violations) == 339
 
-    def test_domain_size_is_iso_invariant(self):
+    def test_domain_size_is_iso_invariant(self, report):
         # The measure is wrong but still invariant, so conjugation and
         # data processing never fire.
-        report = self.report()
         fired = set(count_by_check(report))
         assert "invariance" not in fired
         assert "data_processing" not in fired
         assert "source_matching" not in fired
 
-    def test_random_violations_replay(self):
-        report = self.report()
+    def test_random_violations_replay(self, report):
         for index in range(0, len(report.violations), 11):
             assert replay(report, index) == report.violations[index]
 

@@ -93,6 +93,11 @@ class TestAudit:
         assert code == 2
         assert "afn takes two coefficients" in err
 
+    def test_unknown_measure_message_is_plain(self, capsys):
+        code, _, err = run(capsys, "audit", "--category", "finset", "--measure", "nope")
+        assert code == 2
+        assert err == "error: no measure 'nope' for category finset\n"
+
     def test_unknown_category_rejected_by_parser(self, capsys):
         code, _, err = run(capsys, "audit", "--category", "posets")
         assert code == 2
@@ -207,6 +212,15 @@ class TestReplay:
         assert code == 2
         assert "afn coefficient must be" in err
 
+    def test_unknown_measure_in_config_message_is_plain(self, capsys, tmp_path):
+        path = write_broken_report(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["config"]["measures"] = ["nope"]
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "replay", "--report", str(path), "--index", "0")
+        assert code == 2
+        assert err == "error: no measure 'nope' for category finset\n"
+
     def test_not_a_report(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"schema": "infocat-report/1"}')
@@ -292,6 +306,20 @@ class TestInfo:
         code, _, err = run(capsys, "info", "--input", str(path), "--measure", name)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("gibberish", "error: no measure 'gibberish' for category finset"),
+            ("afn(x,1)", """error: afn coefficient must be an integer or a string like "3/8", not 'x'"""),
+        ],
+        ids=["unknown", "malformed-afn"],
+    )
+    def test_unknown_measure_message_is_plain(self, capsys, tmp_path, name, line):
+        path = self.write_morphism(tmp_path, finset_morphism((0,), 1))
+        code, _, err = run(capsys, "info", "--input", str(path), "--measure", name)
+        assert code == 2
+        assert err == line + "\n"
 
     def test_afn_name_is_canonical(self, capsys, tmp_path):
         path = self.write_morphism(tmp_path, finset_morphism((0, 1), 2))

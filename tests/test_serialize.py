@@ -4,7 +4,9 @@ the report schema guard."""
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infocat import AuditConfig, AuditReport, CategoryId, Channel, audit_all
 from infocat.dual import DualMorphism
@@ -86,7 +88,74 @@ class TestChannel:
             channel_from_json({"matrix": [[0.5, 0.6]]})
 
 
+def reference_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+# Control characters and non-ASCII text in both keys and values.
+TEXT = st.text(st.characters(max_codepoint=0x7FF)) | st.text()
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")])
+    | TEXT
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+CONTAINERS = st.one_of(
+    st.lists(TREES, min_size=1, max_size=3),
+    st.dictionaries(TEXT, TREES, min_size=1, max_size=3),
+)
+
+
+def with_shared_subtree(tree, shared):
+    # Keys are written in sorted order: three meetings at depth 2, so its
+    # text is kept and then reused, then one at depth 1, where that text
+    # has the wrong indentation.
+    return {"a": tree, "b": [shared, shared, shared], "c": shared}
+
+
+PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
 class TestDumps:
+    @PROPERTY
+    @given(TREES)
+    def test_same_bytes_as_json(self, payload):
+        assert dumps(payload) == reference_dumps(payload)
+
+    @PROPERTY
+    @given(TREES, CONTAINERS)
+    def test_shared_subtrees_match_json(self, tree, shared):
+        payload = with_shared_subtree(tree, shared)
+        assert dumps(payload) == reference_dumps(payload)
+
+    def test_numpy_float_is_written_as_a_float(self):
+        payload = {"x": np.float64(0.1), "y": [np.float64("nan")]}
+        assert dumps(payload) == reference_dumps(payload)
+        assert '"x": 0.1' in dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [object(), np.int64(1), {"a": [np.int64(1)]}], ids=["object", "int64", "nested"]
+    )
+    def test_unsupported_type_is_type_error(self, payload):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps(payload)
+
+    @pytest.mark.parametrize("key", [1, None, ("a",)])
+    def test_non_str_key_is_type_error(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            dumps({"a": {key: 1}})
+
     def test_key_order_is_canonical(self):
         a = dumps({"b": 1, "a": [3, 2]})
         b = dumps({"a": [3, 2], "b": 1})
