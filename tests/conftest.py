@@ -1,4 +1,4 @@
-"""Test-only finset measures, registered for one test at a time.
+"""Test-only measures, registered for one test at a time.
 
 Each is wrong on purpose, so that the audit has something to find.  A
 fixture registers its measures through monkeypatch, so the registry is
@@ -10,9 +10,11 @@ renamed mutant shifts the pinned censuses.
 import pytest
 
 from infocat.core import CategoryId
+from infocat.dual import image_dimension_info
 from infocat.errors import EmptyDomain
 from infocat.exact import LogVal
 from infocat.finset import image_size
+from infocat.finvect import rank
 from infocat.measures import _REGISTRY, InfoMeasure
 
 
@@ -54,7 +56,7 @@ MUTANTS = (
 
 
 def _register(monkeypatch, measure):
-    monkeypatch.setitem(_REGISTRY, (CategoryId.FINSET, measure.name), measure)
+    monkeypatch.setitem(_REGISTRY, (measure.category, measure.name), measure)
     return measure.name
 
 
@@ -78,3 +80,26 @@ def image_squared(monkeypatch):
             lambda m: LogVal.from_rational(image_size(m) ** 2),
         ),
     )
+
+
+def _squared(cat_id, value):
+    return InfoMeasure(
+        "rank_squared",
+        cat_id,
+        lambda m: float(value(m) ** 2),
+        lambda m: LogVal.from_rational(value(m) ** 2),
+    )
+
+
+@pytest.fixture
+def rank_squared(monkeypatch):
+    """The square of the rank, registered for one test on finvect and on
+    finvect_dual: it breaks external additivity wherever both factors
+    have rank >= 1, and subadditivity where two images are independent,
+    so its reports carry finvect witnesses."""
+    for measure in (
+        _squared(CategoryId.FINVECT, rank),
+        _squared(CategoryId.FINVECT_DUAL, image_dimension_info),
+    ):
+        name = _register(monkeypatch, measure)
+    return name

@@ -4,7 +4,9 @@ A refactor of the engine, a category or a measure must leave every
 report byte-identical: the same tuples in the same order, the same
 verdicts, the same lhs, rhs and delta down to the last bit.  These pins
 cover every category, exhaustive and random generation, the shipped
-broken measures and the test-only mutants of conftest.py.
+broken measures and the test-only mutants of conftest.py.  The
+rank_squared mutant is the only source of finvect violations, so its
+reports pin how finvect witnesses are written.
 
 Capacity values come from a numpy Blahut-Arimoto solve whose run-time
 kernel choice can change the last bits between machines, so capacity
@@ -12,11 +14,13 @@ audits are pinned by their census only.
 """
 
 import hashlib
+import json
 from collections import Counter
 
 import pytest
 
 from infocat import AuditConfig, audit_all
+from infocat.audit import AuditReport, replay
 from infocat.jsonio import dumps
 
 SHA256 = {
@@ -147,7 +151,36 @@ SHA256 = {
         ),
         "57a2553f50e82837e229b0194330232d84d95028cefca01a8ffb2195bf9d9d92",
     ),
+    # finvect witnesses: 12, 4 and 16 violations.
+    "finvect-gf2-random-rank-squared": (
+        dict(
+            category="finvect",
+            measures=("rank_squared",),
+            field="gf2",
+            mode="random",
+            max_size=4,
+            trials=25,
+        ),
+        "e80edb4c21067e344d832075eac1eeeae42d5586686a9f85ba084a6fe2ecf887",
+    ),
+    "finvect-gf3-1-rank-squared": (
+        dict(category="finvect", measures=("rank_squared",), field="gf3", max_size=1),
+        "3140e5fc8932ea5544953254429cd6dce5180116e00765fa24a745fbbecfeeea",
+    ),
+    "finvect_dual-gf2-random-rank-squared": (
+        dict(
+            category="finvect_dual",
+            measures=("rank_squared",),
+            field="gf2",
+            mode="random",
+            max_size=4,
+            trials=25,
+            seed=5,
+        ),
+        "40abd2fc95d8e423f6f0b152712de1ccdbc3b4c7b37b5414e834b80f482b7ba1",
+    ),
 }
+WITNESS_PINS = sorted(name for name in SHA256 if name.endswith("rank-squared"))
 
 # (config, violations per check/measure, evaluations, skips)
 CENSUS = {
@@ -173,10 +206,20 @@ CENSUS = {
 
 
 @pytest.mark.parametrize("name", sorted(SHA256))
-def test_report_bytes(mutants, image_squared, name):
+def test_report_bytes(mutants, image_squared, rank_squared, name):
     config, digest = SHA256[name]
     report = audit_all(AuditConfig(**config))
     assert hashlib.sha256(dumps(report.to_json()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", WITNESS_PINS)
+def test_finvect_witnesses_replay(rank_squared, name):
+    report = audit_all(AuditConfig(**SHA256[name][0]))
+    parsed = AuditReport.from_json(json.loads(dumps(report.to_json())))
+    assert report.violations
+    for index, violation in enumerate(report.violations):
+        assert replay(report, index) == violation
+        assert replay(parsed, index) == violation
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS))
