@@ -25,11 +25,21 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from . import pointmap
-from .core import ArrowIso, Category, CategoryId, IsoWitness, Limits, register
+from .core import ArrowIso, Category, CategoryId, IsoWitness, Limits, dict_from_json, register
 from .errors import CategoryMismatch, DomainMismatch, ObjectMismatch
 from .exact import LogVal
 from .finset import FINSET, FinSetMorphism, FinSetObject
-from .finvect import FINVECT, GF2, LinearMorphism, VectObject, random_rows, rank, transpose
+from .finvect import (
+    FINVECT,
+    GF2,
+    LinearMorphism,
+    VectObject,
+    case_split,
+    random_map,
+    rank,
+    rank_exact,
+    transpose,
+)
 from .measures import InfoMeasure, register_measure
 
 
@@ -126,8 +136,8 @@ class _DualCategory(Category):
         return {"dual": True, "inner": self.base.payload_to_json(m.inner)}
 
     def morphism_from_json(self, domain, codomain, payload: dict) -> DualMorphism:
-        inner = self.base.morphism_from_json(codomain, domain, payload["inner"])
-        return DualMorphism(inner)
+        inner = dict_from_json(payload["inner"], "inner")
+        return DualMorphism(self.base.morphism_from_json(codomain, domain, inner))
 
 
 class FinSetDualCategory(_DualCategory):
@@ -219,10 +229,7 @@ class FinVectDualCategory(_DualCategory):
         return DualMorphism(self.base.external_product(f.inner, g.inner))
 
     def _case_split(self, fi: LinearMorphism, gi: LinearMorphism) -> LinearMorphism:
-        # (w, u) -> f(w) + g(u): horizontally concatenated blocks.
-        dom = VectObject(fi.domain.dim + gi.domain.dim, fi.field)
-        entries = tuple(row_f + row_g for row_f, row_g in zip(fi.entries, gi.entries))
-        return LinearMorphism(dom, fi.codomain, entries)
+        return case_split(fi, gi)
 
     def terminal_object(self, field=GF2) -> VectObject:
         return self.base.terminal_object(field)
@@ -247,7 +254,7 @@ class FinVectDualCategory(_DualCategory):
 
     def random_morphism_from(self, rng, obj: VectObject, limits: Limits) -> DualMorphism:
         cod = VectObject(rng.randint(0, limits.max_size), obj.field)
-        return DualMorphism(LinearMorphism(cod, obj, random_rows(rng, obj.field, obj.dim, cod.dim)))
+        return DualMorphism(random_map(rng, cod, obj))
 
 
 FINSET_DUAL = register(FinSetDualCategory())
@@ -266,6 +273,6 @@ register_measure(
         "image_dimension",
         CategoryId.FINVECT_DUAL,
         lambda f: float(image_dimension_info(f)),
-        lambda f: LogVal.from_rational(image_dimension_info(f)),
+        lambda f: rank_exact(f.inner),
     )
 )

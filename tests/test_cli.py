@@ -478,6 +478,82 @@ class TestMalformedMorphism:
         assert "a morphism is a JSON object" in err
 
 
+def _gf3_row(payload_changes):
+    """A 1 x 2 matrix over GF(3), with its payload changed."""
+    return {
+        "category": "finvect",
+        "domain": {"dim": 2, "field": "gf3"},
+        "codomain": {"dim": 1, "field": "gf3"},
+        "payload": {"field": "gf3", "rows": 1, "cols": 2, "entries": [[1, 1]], **payload_changes},
+    }
+
+
+DUALS = {
+    "finvect_dual": {
+        "category": "finvect_dual",
+        "domain": {"dim": 1, "field": "gf2"},
+        "codomain": {"dim": 2, "field": "gf2"},
+        "payload": {"dual": True, "inner": _gf3_row({"field": "gf2"})["payload"]},
+    },
+    "finset_dual": {
+        "category": "finset_dual",
+        "domain": {"size": 2},
+        "codomain": {"size": 2},
+        "payload": {"dual": True, "inner": {"map": [1, 0]}},
+    },
+}
+
+
+class TestPayloadAgreesWithEnvelope:
+    """A finvect payload's field and shape must be those of its endpoints,
+    and a dual's inner payload must be a JSON object."""
+
+    def info(self, capsys, monkeypatch, data, measure):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        return run(capsys, "info", "--input", "-", "--measure", measure)
+
+    def test_well_formed_decode(self, capsys, monkeypatch):
+        assert morphism_from_json(_gf3_row({})).entries == ((1, 1),)
+        for cat, data in DUALS.items():
+            assert morphism_to_json(morphism_from_json(data)) == data
+        code, out, _ = self.info(capsys, monkeypatch, _gf3_row({}), "rank")
+        assert (code, out) == (0, "1\n")
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"field": "gf2"}, "payload field gf2 != source field gf3"),
+            ({"field": "rational"}, "payload field rational != source field gf3"),
+            ({"rows": 7, "cols": 9}, "payload of 7 rows and 9 cols for a map from dimension 2 to dimension 1"),
+            ({"rows": 2, "cols": 1}, "payload of 2 rows and 1 cols"),
+            ({"rows": True}, "rows must be an integer, not True"),
+            ({"cols": "2"}, "cols must be an integer"),
+        ],
+    )
+    def test_finvect_payload_disagreeing_with_endpoints(self, capsys, monkeypatch, changes, message):
+        code, out, err = self.info(capsys, monkeypatch, _gf3_row(changes), "rank")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "cat, inner, measure",
+        [
+            ("finvect_dual", [1], "image_dimension"),
+            ("finvect_dual", None, "image_dimension"),
+            ("finset_dual", "x", "image_cardinality"),
+            ("finset_dual", 3, "image_cardinality"),
+        ],
+    )
+    def test_dual_inner_must_be_an_object(self, capsys, monkeypatch, cat, inner, measure):
+        data = json.loads(json.dumps(DUALS[cat]))
+        data["payload"]["inner"] = inner
+        code, out, err = self.info(capsys, monkeypatch, data, measure)
+        assert code == 2
+        assert out == ""
+        assert f"inner must be a JSON object, not {type(inner).__name__}" in err
+
+
 class TestCapacity:
     def test_identity_channel(self, capsys, tmp_path):
         path = tmp_path / "ch.json"
